@@ -12,8 +12,8 @@ verdict on success:
     2   inconclusive
     64  unusable input: bad flags, malformed edge list, unknown family
     65  the graph is not connected
-    70  internal numerical failure (eigensolver non-convergence,
-        misclustered spectrum, or a violated invariant)
+    70  internal failure: eigensolver non-convergence, misclustered
+        spectrum, a violated invariant, or any other unexpected exception
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import sys
 
 from .eigen import (
     DEFAULT_CLUSTER_TOL,
-    JacobiConvergenceError,
+    EigenConvergenceError,
     SpectrumClusterError,
     cluster_spectrum,
     eigenvalues_sym,
@@ -113,10 +113,10 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--gen",
-            metavar="FAMILY[:P1,P2]",
+            metavar="FAMILY[:P1:P2]",
             help=(
                 "generate a named family instead of reading input "
-                "(e.g. path:4, petersen, complete_bipartite:2,3)"
+                "(e.g. path:4, petersen, complete_bipartite:2:3)"
             ),
         )
         p.add_argument(
@@ -167,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("gen", help="print a graph family as an edge list")
     p_gen.add_argument(
         "family",
-        metavar="FAMILY[:P1,P2]",
+        metavar="FAMILY[:P1:P2]",
         help="family name with colon-separated integer parameters",
     )
     p_gen.set_defaults(func=_cmd_gen)
@@ -179,11 +179,12 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 def _parse_family_spec(spec: str):
-    """Split 'name:p1,p2' into the family name and integer parameters."""
+    """Split 'name:p1:p2' (or 'name:p1,p2') into the family name and
+    integer parameters."""
     name, sep, rest = spec.partition(":")
     params = []
     if sep:
-        for token in rest.split(","):
+        for token in rest.replace(",", ":").split(":"):
             token = token.strip()
             try:
                 params.append(int(token))
@@ -272,13 +273,22 @@ def main(argv=None) -> int:
         print(f"lapexcess: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (
-        JacobiConvergenceError,
+        EigenConvergenceError,
         SpectrumClusterError,
         OrthopolyBreakdownError,
         MisclusteredSpectrumError,
         InternalCheckError,
     ) as exc:
         print(f"lapexcess: internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception as exc:
+        # Anything else (a warning raised as an error, MemoryError, a
+        # non-finite value refused by the JSON writer) must not escape as
+        # status 1, which means "not distance-regular".
+        print(
+            f"lapexcess: internal error: {type(exc).__name__}: {exc}",
+            file=sys.stderr,
+        )
         return EXIT_INTERNAL
 
 

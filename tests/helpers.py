@@ -1,8 +1,9 @@
 """Small builders shared across test modules."""
 
 import networkx as nx
+import numpy as np
 
-from lapexcess import Graph
+from lapexcess import DistinctSpectrum, Graph, phi_products
 
 
 def random_connected_graph(rng, n: int, extra_edges: int = 0) -> Graph:
@@ -36,3 +37,22 @@ def to_networkx(g: Graph) -> nx.Graph:
     h.add_nodes_from(range(g.n))
     h.add_edges_from(g.sorted_edges())
     return h
+
+
+def idempotent(lap: np.ndarray, s: DistinctSpectrum, i: int) -> np.ndarray:
+    """Spectral projector onto the eigenspace of theta_i, computed as the
+    matrix polynomial (1/phi_i) * prod_{j != i} (L - theta_j I).
+
+    No eigenvectors are materialized.  The projector for theta_0 = 0 of a
+    connected Laplacian is J/n.  Output is symmetrized.
+    """
+    if not 0 <= i <= s.d:
+        raise IndexError(f"eigenvalue index {i} out of range 0..{s.d}")
+    n = lap.shape[0]
+    phis = phi_products(s)
+    f = np.eye(n)
+    for j in range(s.d + 1):
+        if j != i:
+            f = f @ (lap - s.thetas[j] * np.eye(n))
+    f /= phis[i]
+    return (f + f.T) / 2.0

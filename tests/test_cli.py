@@ -80,6 +80,40 @@ def test_internal_error_exits_70(monkeypatch, capsys):
     assert "internal error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "error",
+    [
+        ValueError("cannot serialize non-finite value -inf"),
+        RuntimeWarning("overflow encountered in scalar divide"),
+        MemoryError("forced for the exit-code test"),
+    ],
+    ids=lambda exc: type(exc).__name__,
+)
+def test_unexpected_exceptions_exit_70(monkeypatch, capsys, error):
+    import lapexcess.cli as cli_mod
+
+    def boom(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli_mod, "analyze", boom)
+    assert main(["analyze", "--gen", "petersen"]) == 70
+    err = capsys.readouterr().err
+    assert err == f"lapexcess: internal error: {type(error).__name__}: {error}\n"
+
+
+def test_hypercube_8_runs_clean_with_warnings_as_errors():
+    # n = 256 with every floating-point warning raised as an error: the
+    # eigensolve must not overflow, and nothing may escape as status 1
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "lapexcess", "analyze", "--gen", "hypercube:8"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "verdict: distance_regular" in proc.stdout
+
+
 def test_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
@@ -94,6 +128,14 @@ def test_help_exits_zero(capsys):
 def test_gen_path_output(capsys):
     assert main(["gen", "path:4"]) == 0
     assert capsys.readouterr().out == "0 1\n1 2\n2 3\n"
+
+
+def test_gen_colon_and_comma_params_agree(capsys):
+    assert main(["gen", "complete_bipartite:2:3"]) == 0
+    colon = capsys.readouterr().out
+    assert main(["gen", "complete_bipartite:2,3"]) == 0
+    assert capsys.readouterr().out == colon
+    assert len(colon.splitlines()) == 6
 
 
 def test_gen_hypercube(capsys):

@@ -8,24 +8,32 @@ import math
 
 import numpy as np
 import pytest
-from helpers import random_connected_graph
+from helpers import idempotent, permute_graph, random_connected_graph
 
 from lapexcess import (
     DistinctSpectrum,
-    JacobiConvergenceError,
+    EigenConvergenceError,
     SpectrumClusterError,
     cluster_spectrum,
     cycle_graph,
     eigenvalues_sym,
-    idempotent,
+    generate,
     laplacian_matrix,
     petersen_graph,
     phi_products,
 )
 
 
+def assert_matches_eigvalsh(m):
+    """eigenvalues_sym agrees with LAPACK within 1e-12 max(1, rho)."""
+    got = eigenvalues_sym(m)
+    want = np.linalg.eigvalsh(m)
+    scale = max(1.0, float(np.abs(want).max()))
+    assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+
 # ---------------------------------------------------------------------------
-# Jacobi eigenvalues vs numpy
+# Householder + implicit QL eigenvalues vs numpy
 # ---------------------------------------------------------------------------
 
 def test_random_symmetric_matches_eigvalsh():
@@ -33,21 +41,67 @@ def test_random_symmetric_matches_eigvalsh():
     for _ in range(30):
         n = int(rng.integers(1, 13))
         m = rng.standard_normal((n, n))
-        m = (m + m.T) / 2.0
-        got = eigenvalues_sym(m)
-        want = np.linalg.eigvalsh(m)
-        scale = max(1.0, float(np.abs(want).max()))
-        assert np.max(np.abs(got - want)) <= 1e-11 * scale
+        assert_matches_eigvalsh((m + m.T) / 2.0)
 
 
 def test_laplacians_match_eigvalsh():
     rng = np.random.default_rng(7)
     for _ in range(10):
         g = random_connected_graph(rng, int(rng.integers(2, 20)), int(rng.integers(0, 8)))
-        lap = laplacian_matrix(g)
-        got = eigenvalues_sym(lap)
-        want = np.linalg.eigvalsh(lap)
-        assert np.max(np.abs(got - want)) <= 1e-10 * max(1.0, want[-1])
+        assert_matches_eigvalsh(laplacian_matrix(g))
+
+
+def test_relabelled_atlas_laplacians_match_eigvalsh(atlas_corpus):
+    rng = np.random.default_rng(2014)
+    for _, g in atlas_corpus:
+        assert_matches_eigvalsh(laplacian_matrix(permute_graph(g, rng.permutation(g.n))))
+
+
+@pytest.mark.parametrize(
+    "family, params",
+    [
+        ("cycle", (128,)),
+        ("path", (128,)),
+        ("hypercube", (7,)),
+        ("complete_bipartite", (60, 100)),
+        ("complete_bipartite", (10, 150)),
+    ],
+)
+def test_relabelled_families_match_eigvalsh(family, params):
+    # the graphs whose cost and overflow once depended on the labelling
+    g = generate(family, params)
+    perm = np.random.default_rng(sum(params)).permutation(g.n)
+    assert_matches_eigvalsh(laplacian_matrix(permute_graph(g, perm)))
+
+
+def _wilkinson_w21_plus():
+    # diagonal 10, 9, ..., 1, 0, 1, ..., 10 with unit off-diagonal: its
+    # largest eigenvalues come in pairs that agree to ~1e-14
+    return np.diag(np.abs(np.arange(-10.0, 11.0))) + np.eye(21, k=1) + np.eye(21, k=-1)
+
+
+def _block_diagonal():
+    # a zero off-diagonal in the tridiagonal form splits the QL iteration
+    rng = np.random.default_rng(3)
+    m = np.zeros((12, 12))
+    for lo, hi in ((0, 5), (5, 6), (6, 12)):
+        b = rng.standard_normal((hi - lo, hi - lo))
+        m[lo:hi, lo:hi] = b + b.T
+    return m
+
+
+def _indefinite():
+    m = np.random.default_rng(5).standard_normal((60, 60))
+    return m + m.T
+
+
+@pytest.mark.parametrize(
+    "m",
+    [_block_diagonal(), _wilkinson_w21_plus(), 3.5 * np.eye(9), _indefinite()],
+    ids=["block_diagonal", "wilkinson_w21_plus", "scaled_identity", "indefinite"],
+)
+def test_structured_matrices_match_eigvalsh(m):
+    assert_matches_eigvalsh(m)
 
 
 def test_diagonal_and_trivial_cases():
@@ -77,10 +131,10 @@ def test_tolerates_rounding_level_asymmetry():
     assert np.allclose(got, [1.0, 3.0], atol=1e-12)
 
 
-def test_sweep_budget_exhaustion_raises():
+def test_iteration_budget_exhaustion_raises():
     m = np.ones((6, 6)) + np.eye(6)
-    with pytest.raises(JacobiConvergenceError):
-        eigenvalues_sym(m, max_sweeps=0)
+    with pytest.raises(EigenConvergenceError):
+        eigenvalues_sym(m, max_iterations=0)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ verdict on success:
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -174,6 +175,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built on the first main() call, not at import, and then reused:
+    # parse_args keeps no state between calls, and building the tree is a
+    # large share of the verdict time on a small graph.
+    return build_parser()
+
+
 # ---------------------------------------------------------------------------
 # Input resolution
 # ---------------------------------------------------------------------------
@@ -259,8 +268,7 @@ def _cmd_gen(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except _UsageError as exc:

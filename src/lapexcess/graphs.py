@@ -341,20 +341,18 @@ class DistanceData:
     diameter: max distance D.
     excess_counts: (D+1) x n integer array; row i gives k_i(u), the number
         of vertices at distance i from u.  Rows sum to n over i.
-    distance_matrices: list of D+1 dense 0/1 matrices; entry i marks the
-        pairs at distance exactly i (index 0 is the identity, index 1 the
-        adjacency matrix, and the matrices sum to the all-ones matrix).
+
+    The pairs at distance exactly i are ``dist == i``.
     """
 
     dist: np.ndarray
     diameter: int
     excess_counts: np.ndarray
-    distance_matrices: list
 
 
 def distance_data(g: Graph) -> DistanceData:
     """All-pairs hop distances by BFS from every vertex, with the per-level
-    vertex counts and 0/1 distance matrices."""
+    vertex counts."""
     n = g.n
     adj = g.neighbor_lists()
     dist = np.full((n, n), -1, dtype=int)
@@ -369,14 +367,11 @@ def distance_data(g: Graph) -> DistanceData:
                     dist[s, y] = dx + 1
                     queue.append(y)
     diameter = int(dist.max())
-    counts = np.zeros((diameter + 1, n), dtype=int)
-    mats = [np.zeros((n, n)) for _ in range(diameter + 1)]
-    for u in range(n):
-        for v in range(n):
-            i = dist[u, v]
-            counts[i, u] += 1
-            mats[i][u, v] = 1.0
-    return DistanceData(dist, diameter, counts, mats)
+    # counts[i, u] = #{v : dist[u, v] = i}, one bincount over the pairs
+    # keyed by i * n + u.
+    keys = dist * n + np.arange(n)[:, None]
+    counts = np.bincount(keys.ravel(), minlength=(diameter + 1) * n).reshape(diameter + 1, n)
+    return DistanceData(dist, diameter, counts)
 
 
 def degree_stats(g: Graph) -> tuple:

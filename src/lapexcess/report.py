@@ -9,8 +9,8 @@ recurrence table with rows beta_i, alpha_i, gamma_i.
 
 from __future__ import annotations
 
-import json
 import math
+from json.encoder import encode_basestring_ascii as _encode_str
 
 import numpy as np
 
@@ -33,52 +33,56 @@ def format_float(x: float) -> str:
     if not math.isfinite(x):
         raise ValueError(f"cannot serialize non-finite value {x}")
     s = format(float(x), ".17g")
-    if not any(ch in s for ch in ".eE"):
+    if "." not in s and "e" not in s:
         s += ".0"
     return s
 
 
 def dumps(obj, indent: int = 2) -> str:
     """Serialize dicts/lists/scalars to JSON with format_float for reals."""
-    pieces = []
-    _emit(obj, pieces, indent, 0)
-    return "".join(pieces)
+    return _emit(obj, "", " " * indent)
 
 
-def _emit(obj, out: list, indent: int, level: int) -> None:
-    pad = " " * (indent * level)
-    inner = " " * (indent * (level + 1))
+def _emit(obj, pad: str, step: str) -> str:
+    """obj as JSON text; pad indents the line obj starts on, step each level.
+
+    The exact-type tests come first and in order of frequency (a report is
+    mostly floats); the isinstance tests after them catch numpy scalars and
+    subclasses.
+    """
+    kind = type(obj)
+    if kind is float:
+        return format_float(obj)
+    if kind is int:
+        return str(obj)
+    if kind is str:
+        return _encode_str(obj)
     if isinstance(obj, dict):
         if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for j, (key, val) in enumerate(obj.items()):
-            if not isinstance(key, str):
-                raise TypeError(f"JSON object keys must be strings, got {key!r}")
-            out.append(inner + json.dumps(key) + ": ")
-            _emit(val, out, indent, level + 1)
-            out.append(",\n" if j < len(obj) - 1 else "\n")
-        out.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        seq = list(obj)
-        if not seq:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for j, val in enumerate(seq):
-            out.append(inner)
-            _emit(val, out, indent, level + 1)
-            out.append(",\n" if j < len(seq) - 1 else "\n")
-        out.append(pad + "]")
-    elif isinstance(obj, bool) or obj is None or isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(format_float(float(obj)))
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
+            return "{}"
+        inner = pad + step
+        # encoding a key that is not a str raises TypeError
+        items = ",\n".join(
+            f"{inner}{_encode_str(key)}: {_emit(val, inner, step)}" for key, val in obj.items()
+        )
+        return f"{{\n{items}\n{pad}}}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = pad + step
+        items = ",\n".join(f"{inner}{_emit(val, inner, step)}" for val in obj)
+        return f"[\n{items}\n{pad}]"
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, str):
+        return _encode_str(obj)
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return format_float(float(obj))
+    raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
 
 
 def _floats(values) -> list:

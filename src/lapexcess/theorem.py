@@ -311,7 +311,7 @@ def analyze(
     residuals = np.empty(d + 1)
     for i in range(d + 1):
         if i <= dd.diameter:
-            target = dd.distance_matrices[i]
+            target = dd.dist == i
         else:
             target = 0.0
         residuals[i] = float(np.max(np.abs(eval_matrix(system.polys[i], lap) - target)))

@@ -218,3 +218,30 @@ def test_gen_pipe_matches_direct(spec):
     )
     assert piped.returncode == direct.returncode == 0
     assert piped.stdout == direct.stdout
+
+
+def test_calls_in_one_process_match_fresh_processes(monkeypatch, capsys):
+    # main() builds its parser once per process; no call may see the flags,
+    # defaults or failure of the one before it
+    monkeypatch.setenv("COLUMNS", "80")  # same usage-line wrapping in both
+    calls = [
+        (["analyze", "--gen", "petersen", "--no-oracle", "--json"], 0),
+        (["analyze", "--gen", "path:4", "--bogus"], 64),
+        (["analyze", "--gen", "path:4", "--json"], 1),
+    ]
+    in_process = []
+    for argv, _ in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        in_process.append((code, captured.out, captured.err))
+    for (argv, want), got in zip(calls, in_process):
+        fresh = subprocess.run(
+            [sys.executable, "-m", "lapexcess", *argv], capture_output=True, text=True
+        )
+        assert fresh.returncode == want
+        assert got == (want, fresh.stdout, fresh.stderr)
+    assert json.loads(in_process[0][1])["oracle"] == {"ran": False}
+    assert json.loads(in_process[2][1])["oracle"]["ran"] is True

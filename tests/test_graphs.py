@@ -248,12 +248,18 @@ def test_distance_data_matches_networkx():
             for v in range(g.n):
                 assert dd.dist[u, v] == lengths[u][v]
         assert dd.diameter == nx.diameter(h)
-        # distance matrices partition the all-ones matrix
-        total = sum(dd.distance_matrices)
-        assert np.array_equal(total, np.ones((g.n, g.n)))
-        assert np.array_equal(dd.distance_matrices[0], np.eye(g.n))
+        # the distance classes dist == i partition the all-ones matrix
+        classes = [dd.dist == i for i in range(dd.diameter + 1)]
+        assert np.array_equal(sum(c.astype(int) for c in classes), np.ones((g.n, g.n)))
+        assert np.array_equal(classes[0], np.eye(g.n))
         if dd.diameter >= 1:
-            assert np.array_equal(dd.distance_matrices[1], adjacency_matrix(g))
+            assert np.array_equal(classes[1], adjacency_matrix(g))
+        # counts[i, u] is the number of vertices at distance i from u
+        expected = np.zeros((dd.diameter + 1, g.n), dtype=int)
+        for u in range(g.n):
+            for v in range(g.n):
+                expected[lengths[u][v], u] += 1
+        assert np.array_equal(dd.excess_counts, expected)
         # counts column-sum to n
         assert np.all(dd.excess_counts.sum(axis=0) == g.n)
 

@@ -60,6 +60,56 @@ def test_dumps_rejects_unknown_types():
         dumps({1: "non-string key"})
 
 
+def test_dumps_exact_bytes():
+    doc = {
+        "nested": {"matrix": [[1, 2], [3.5, -4.0]], "deeper": {"empty_list": [], "empty_obj": {}}},
+        "flags": [None, True, False],
+        "tuple": (1, "two", 3.0),
+        "numpy": [np.int64(7), np.float64(0.25)],
+        "floats": [1.0, 1e-300, 2 / 3],
+        "text": "q\"b\\n\nü",
+    }
+    expected = '''{
+  "nested": {
+    "matrix": [
+      [
+        1,
+        2
+      ],
+      [
+        3.5,
+        -4.0
+      ]
+    ],
+    "deeper": {
+      "empty_list": [],
+      "empty_obj": {}
+    }
+  },
+  "flags": [
+    null,
+    true,
+    false
+  ],
+  "tuple": [
+    1,
+    "two",
+    3.0
+  ],
+  "numpy": [
+    7,
+    0.25
+  ],
+  "floats": [
+    1.0,
+    1e-300,
+    0.66666666666666663
+  ],
+  "text": "q\\"b\\\\n\\n\\u00fc"
+}'''
+    assert dumps(doc) == expected
+
+
 def test_dumps_string_escaping():
     assert json.loads(dumps({"s": 'quote " backslash \\ newline \n'})) == {
         "s": 'quote " backslash \\ newline \n'

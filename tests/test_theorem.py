@@ -247,7 +247,7 @@ def test_adjacency_polys_petersen():
     dd = a.distances
     assert np.allclose(eval_matrix(polys[0], adj), np.eye(g.n), atol=1e-8)
     for i in (1, 2):
-        assert np.max(np.abs(eval_matrix(polys[i], adj) - dd.distance_matrices[i])) <= 1e-8
+        assert np.max(np.abs(eval_matrix(polys[i], adj) - (dd.dist == i))) <= 1e-8
 
 
 def test_adjacency_polys_complete4():

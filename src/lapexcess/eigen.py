@@ -197,20 +197,20 @@ def cluster_spectrum(raw: np.ndarray, tol: float = DEFAULT_CLUSTER_TOL) -> Disti
         raise ValueError("raw spectrum must be a nonempty 1-d array")
     if tol <= 0:
         raise ValueError(f"clustering tolerance must be positive, got {tol}")
-    if np.any(np.diff(raw) < 0):
+    values = raw.tolist()
+    if any(b < a for a, b in zip(values, values[1:])):
         raise ValueError("raw spectrum must be sorted ascending")
 
-    radius = float(np.abs(raw).max())
+    radius = max(abs(values[0]), abs(values[-1]))
     tol_abs = tol * max(1.0, radius)
 
     thetas = []
     mults = []
     start = 0
-    for i in range(1, len(raw) + 1):
-        if i == len(raw) or raw[i] - raw[i - 1] > tol_abs:
-            members = raw[start:i]
-            thetas.append(float(members.mean()))
-            mults.append(len(members))
+    for i in range(1, len(values) + 1):
+        if i == len(values) or values[i] - values[i - 1] > tol_abs:
+            thetas.append(float(raw[start:i].mean()))
+            mults.append(i - start)
             start = i
 
     if abs(thetas[0]) > tol_abs:
@@ -238,11 +238,8 @@ def phi_products(s: DistinctSpectrum) -> np.ndarray:
     Signs alternate as (-1)^(d-i) because the values are strictly
     increasing.  d = 0 gives the empty product [1].
     """
-    thetas = s.thetas
-    k = len(thetas)
-    phis = np.ones(k)
-    for i in range(k):
-        for j in range(k):
-            if j != i:
-                phis[i] *= thetas[i] - thetas[j]
-    return phis
+    thetas = s.thetas.tolist()
+    return np.array([
+        math.prod((t - u for j, u in enumerate(thetas) if j != i), start=1.0)
+        for i, t in enumerate(thetas)
+    ])

@@ -11,7 +11,6 @@ values can be shared freely across threads.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,11 +90,11 @@ class Graph:
 
     def degrees(self) -> np.ndarray:
         """Vertex degrees as an integer array of length n."""
-        deg = np.zeros(self.n, dtype=int)
+        deg = [0] * self.n
         for u, v in self.edges:
             deg[u] += 1
             deg[v] += 1
-        return deg
+        return np.array(deg, dtype=int)
 
     def is_regular(self) -> bool:
         deg = self.degrees()
@@ -119,16 +118,13 @@ def _is_connected(n: int, edges) -> bool:
         adj[v].append(u)
     seen = bytearray(n)
     seen[0] = 1
-    queue = deque([0])
-    count = 1
-    while queue:
-        x = queue.popleft()
+    order = [0]
+    for x in order:
         for y in adj[x]:
             if not seen[y]:
                 seen[y] = 1
-                count += 1
-                queue.append(y)
-    return count == n
+                order.append(y)
+    return len(order) == n
 
 
 # ---------------------------------------------------------------------------
@@ -355,17 +351,19 @@ def distance_data(g: Graph) -> DistanceData:
     vertex counts."""
     n = g.n
     adj = g.neighbor_lists()
-    dist = np.full((n, n), -1, dtype=int)
+    dist = np.empty((n, n), dtype=int)
     for s in range(n):
-        dist[s, s] = 0
-        queue = deque([s])
-        while queue:
-            x = queue.popleft()
-            dx = dist[s, x]
+        # BFS on a Python row; order grows while the loop scans it
+        row = [-1] * n
+        row[s] = 0
+        order = [s]
+        for x in order:
+            dx = row[x] + 1
             for y in adj[x]:
-                if dist[s, y] < 0:
-                    dist[s, y] = dx + 1
-                    queue.append(y)
+                if row[y] < 0:
+                    row[y] = dx
+                    order.append(y)
+        dist[s] = row
     diameter = int(dist.max())
     # counts[i, u] = #{v : dist[u, v] = i}, one bincount over the pairs
     # keyed by i * n + u.

@@ -18,7 +18,11 @@ spectral excess; the Hoffman polynomial H = sum_i r_i satisfies H(L) = J.
 
 Construction uses the Stieltjes recurrence for the monic sequence (never a
 Gram matrix on the monomial basis, which is ill-conditioned) and all inner
-products are taken on node values propagated through the same recurrence.
+products are taken on node values propagated through the same recurrence,
+two degrees at a time.  It sees only the d+1 nodes (at most 7 up to 7
+vertices) and runs on Python floats, cheaper than numpy calls on arrays
+that small.  Its sums run left to right, as np.sum does below 8 terms
+(pairwise from 8 on, so an array version differs there in the last digits).
 The returned coefficient arrays are exact representations of slightly
 perturbed polynomials: at degrees past roughly a dozen, re-evaluating a
 polynomial from its monomial coefficients loses accuracy to cancellation,
@@ -27,6 +31,7 @@ which is inherent to that basis rather than to the construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,7 +79,7 @@ def poly_mul(p, q) -> np.ndarray:
 def eval_scalar(p, x: float) -> float:
     """Horner evaluation of an ascending coefficient array at a scalar."""
     acc = 0.0
-    for c in reversed(np.asarray(p, dtype=float)):
+    for c in reversed(np.asarray(p, dtype=float).tolist()):
         acc = acc * x + c
     return float(acc)
 
@@ -98,9 +103,10 @@ def eval_matrix(p, m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     n = m.shape[0]
     acc = np.zeros((n, n))
-    eye = np.eye(n)
-    for c in reversed(np.asarray(p, dtype=float)):
-        acc = acc @ m + c * eye
+    for k, c in enumerate(reversed(np.asarray(p, dtype=float).tolist())):
+        if k:
+            acc = acc @ m
+        acc.reshape(-1)[:: n + 1] += c  # + c I, in place on the diagonal
     return (acc + acc.T) / 2.0
 
 
@@ -126,16 +132,17 @@ class SpectralMeasure:
     weights: np.ndarray
 
     def __post_init__(self):
-        if len(self.thetas) != len(self.weights):
+        thetas, weights = self.thetas.tolist(), self.weights.tolist()
+        if len(thetas) != len(weights):
             raise ValueError("thetas and weights must have equal length")
-        if self.thetas[0] != 0.0:
-            raise ValueError(f"first node must be 0, got {self.thetas[0]}")
-        if np.any(np.diff(self.thetas) <= 0):
+        if thetas[0] != 0.0:
+            raise ValueError(f"first node must be 0, got {thetas[0]}")
+        if any(b <= a for a, b in zip(thetas, thetas[1:])):
             raise ValueError("nodes must be strictly ascending")
-        if np.any(self.weights <= 0):
+        if any(x <= 0 for x in weights):
             raise ValueError("weights must be positive")
-        total = float(self.weights.sum())
-        if abs(total - 1.0) > 1e-12 * len(self.weights):
+        total = sum(weights)
+        if abs(total - 1.0) > 1e-12 * len(weights):
             raise ValueError(f"weights must sum to 1, got {total}")
 
     @classmethod
@@ -180,61 +187,60 @@ def predistance_system(mu: SpectralMeasure) -> PredistanceSystem:
     """Build the predistance polynomials and their recurrence coefficients.
 
     Stieltjes procedure for the monic orthogonal sequence q_i (tracking
-    both coefficient arrays and node values), then the rescaling
-    r_i = (q_i(0)/<q_i, q_i>) q_i so that <r_i, r_i> = r_i(0).  The
-    recurrence coefficients are read off by projecting x*r_i onto the
+    both coefficients and node values), each q_i rescaled as soon as it is
+    produced to r_i = (q_i(0)/<q_i, q_i>) q_i so that <r_i, r_i> = r_i(0).
+    The recurrence coefficients are read off by projecting x*r_i onto the
     r-basis:
 
         alpha_i    = <x r_i, r_i>   / <r_i, r_i>
         gamma_{i+1} = <x r_i, r_{i+1}> / <r_{i+1}, r_{i+1}>
         beta_i     = <x r_{i+1}, r_i> / <r_i, r_i>
     """
-    thetas = mu.thetas
-    w = mu.weights
+    thetas = mu.thetas.tolist()
+    w = mu.weights.tolist()
+    wt = [a * t for a, t in zip(w, thetas)]
     d = mu.d
-
-    # Monic sequence: coefficients and node values side by side.
-    q_coeffs = [np.array([1.0])]
-    q_vals = [np.ones(d + 1)]
-    q_norm2 = [float(w.sum())]
-    for i in range(d):
-        a_i = float(np.sum(w * thetas * q_vals[i] ** 2)) / q_norm2[i]
-        nxt = np.concatenate(([0.0], q_coeffs[i]))  # x * q_i
-        nxt[: i + 1] -= a_i * q_coeffs[i]
-        vals = (thetas - a_i) * q_vals[i]
-        if i > 0:
-            b_i = q_norm2[i] / q_norm2[i - 1]
-            nxt[: i] -= b_i * q_coeffs[i - 1]
-            vals = vals - b_i * q_vals[i - 1]
-        q_coeffs.append(nxt)
-        q_vals.append(vals)
-        q_norm2.append(float(np.sum(w * vals**2)))
-
     polys = []
-    r_vals = []
-    r_norm2 = []
+    alpha, beta, gamma = np.zeros(d + 1), np.zeros(d), np.zeros(d)
+    # monic q_i, q_{i-1}: coefficients, node values, squared norm; q_{-1} = 0
+    q_c, q_v = [1.0], [1.0] * (d + 1)
+    q_n = _dot(w, q_v)
+    p_c, p_v, p_n = [], [0.0] * (d + 1), q_n
     for i in range(d + 1):
-        at_zero = q_coeffs[i][0]
-        if abs(at_zero) <= _BREAKDOWN_TOL * np.sqrt(q_norm2[i]):
+        if abs(q_c[0]) <= _BREAKDOWN_TOL * math.sqrt(q_n):
             raise OrthopolyBreakdownError(
                 f"orthogonal polynomial of degree {i} vanishes at 0 "
-                f"(value {at_zero:g}); misclustered spectrum suspected"
+                f"(value {q_c[0]:g}); misclustered spectrum suspected"
             )
-        scale = at_zero / q_norm2[i]
-        polys.append(scale * q_coeffs[i])
-        r_vals.append(scale * q_vals[i])
-        r_norm2.append(scale * scale * q_norm2[i])
-
-    alpha = np.zeros(d + 1)
-    beta = np.zeros(d)
-    gamma = np.zeros(d)
-    for i in range(d + 1):
-        x_ri = thetas * r_vals[i]
-        alpha[i] = float(np.sum(w * x_ri * r_vals[i])) / r_norm2[i]
-        if i < d:
-            gamma[i] = float(np.sum(w * x_ri * r_vals[i + 1])) / r_norm2[i + 1]
-            beta[i] = float(np.sum(w * (thetas * r_vals[i + 1]) * r_vals[i])) / r_norm2[i]
+        scale = q_c[0] / q_n
+        polys.append(scale * np.array(q_c))
+        r = [scale * x for x in q_v]
+        rn = scale * scale * q_n
+        wxr = [a * (t * x) for a, t, x in zip(w, thetas, r)]
+        alpha[i] = _dot(wxr, r) / rn
+        if i:
+            gamma[i - 1] = _dot(wxr_prev, r) / rn
+            beta[i - 1] = _dot(wxr, r_prev) / rn_prev
+        if i == d:
+            break
+        r_prev, wxr_prev, rn_prev = r, wxr, rn
+        # Stieltjes step q_{i+1} = (x - a) q_i - b q_{i-1}.  a and b are
+        # nonnegative, so the zero padding subtracts +0.0 and moves nothing.
+        a = _dot(wt, [x * x for x in q_v]) / q_n
+        b = q_n / p_n
+        nxt = [(x - a * y) - b * z for x, y, z in zip([0.0] + q_c, q_c + [0.0], p_c + [0.0, 0.0])]
+        vals = [(t - a) * x - b * y for t, x, y in zip(thetas, q_v, p_v)]
+        p_c, p_v, p_n = q_c, q_v, q_n
+        q_c, q_v, q_n = nxt, vals, _dot(w, [x * x for x in vals])
     return PredistanceSystem(polys, alpha, beta, gamma)
+
+
+def _dot(a, b) -> float:
+    """sum_j a_j b_j left to right (sum() compensates from Python 3.12 on)."""
+    acc = 0.0
+    for x, y in zip(a, b):
+        acc += x * y
+    return acc
 
 
 def hoffman_polynomial(mu: SpectralMeasure, n: int) -> np.ndarray:
@@ -244,12 +250,12 @@ def hoffman_polynomial(mu: SpectralMeasure, n: int) -> np.ndarray:
     Satisfies H(0) = n by construction, H(L) = J on the graph's Laplacian,
     and H = r_0 + ... + r_d.
     """
-    h = np.array([1.0])
-    phi0 = 1.0
-    for theta in mu.thetas[1:]:
-        h = poly_mul(h, np.array([-theta, 1.0]))
+    h, phi0 = [1.0], 1.0
+    for theta in mu.thetas[1:].tolist():
+        # h (x - theta): coefficient k becomes h[k-1] - theta h[k]
+        h = [-theta * h[0]] + [a - theta * b for a, b in zip(h, h[1:])] + [h[-1]]
         phi0 *= -theta
-    return trim(n / phi0 * h)
+    return trim(n / phi0 * np.array(h))
 
 
 def spectral_excess_closed_form(mu: SpectralMeasure, phis: np.ndarray, n: int) -> float:

@@ -143,6 +143,7 @@ def build_document(analysis: Analysis) -> dict:
 
     g = analysis.graph
     degrees = g.degrees()
+    dmin, dmax = int(degrees.min()), int(degrees.max())
     sys = analysis.system
     rep = analysis.report
     return {
@@ -155,9 +156,9 @@ def build_document(analysis: Analysis) -> dict:
         "graph": {
             "n": g.n,
             "edge_count": g.edge_count,
-            "regular": g.is_regular(),
-            "degree_min": int(degrees.min()),
-            "degree_max": int(degrees.max()),
+            "regular": dmin == dmax,
+            "degree_min": dmin,
+            "degree_max": dmax,
             "degree_mean": float(degrees.mean()),
             "degree_mean_square": float((degrees.astype(float) ** 2).mean()),
         },
@@ -229,9 +230,9 @@ def render_text(analysis: Analysis) -> str:
     s = analysis.spectrum
     rep = analysis.report
     degrees = g.degrees()
-    regular = f"regular of degree {int(degrees[0])}" if g.is_regular() else (
-        f"not regular (degrees {int(degrees.min())}..{int(degrees.max())}, "
-        f"mean {_fmt(degrees.mean())})"
+    dmin, dmax = int(degrees.min()), int(degrees.max())
+    regular = f"regular of degree {dmin}" if dmin == dmax else (
+        f"not regular (degrees {dmin}..{dmax}, mean {_fmt(degrees.mean())})"
     )
     lines = [
         f"graph: {g.n} vertices, {g.edge_count} edges, {regular}",

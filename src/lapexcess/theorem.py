@@ -310,10 +310,8 @@ def analyze(
 
     residuals = np.empty(d + 1)
     for i in range(d + 1):
-        if i <= dd.diameter:
-            target = dd.dist == i
-        else:
-            target = 0.0
+        # all False past the diameter, and x - False == x - 0.0
+        target = dd.dist == i
         residuals[i] = float(np.max(np.abs(eval_matrix(system.polys[i], lap) - target)))
 
     oracle = None

@@ -56,3 +56,88 @@ def idempotent(lap: np.ndarray, s: DistinctSpectrum, i: int) -> np.ndarray:
             f = f @ (lap - s.thetas[j] * np.eye(n))
     f /= phis[i]
     return (f + f.T) / 2.0
+
+
+# ---------------------------------------------------------------------------
+# numpy references for the spectral stages, kept from the array versions of
+# the package routines.  The package runs these stages on Python floats;
+# tests compare the two bit for bit where the sums have at most 7 terms.
+# ---------------------------------------------------------------------------
+
+def reference_predistance(mu):
+    """(polys, alpha, beta, gamma) by the Stieltjes procedure on numpy
+    arrays, keeping every node-value array."""
+    thetas = mu.thetas
+    w = mu.weights
+    d = mu.d
+
+    q_coeffs = [np.array([1.0])]
+    q_vals = [np.ones(d + 1)]
+    q_norm2 = [float(w.sum())]
+    for i in range(d):
+        a_i = float(np.sum(w * thetas * q_vals[i] ** 2)) / q_norm2[i]
+        nxt = np.concatenate(([0.0], q_coeffs[i]))
+        nxt[: i + 1] -= a_i * q_coeffs[i]
+        vals = (thetas - a_i) * q_vals[i]
+        if i > 0:
+            b_i = q_norm2[i] / q_norm2[i - 1]
+            nxt[:i] -= b_i * q_coeffs[i - 1]
+            vals = vals - b_i * q_vals[i - 1]
+        q_coeffs.append(nxt)
+        q_vals.append(vals)
+        q_norm2.append(float(np.sum(w * vals**2)))
+
+    polys = []
+    r_vals = []
+    r_norm2 = []
+    for i in range(d + 1):
+        scale = q_coeffs[i][0] / q_norm2[i]
+        polys.append(scale * q_coeffs[i])
+        r_vals.append(scale * q_vals[i])
+        r_norm2.append(scale * scale * q_norm2[i])
+
+    alpha = np.zeros(d + 1)
+    beta = np.zeros(d)
+    gamma = np.zeros(d)
+    for i in range(d + 1):
+        x_ri = thetas * r_vals[i]
+        alpha[i] = float(np.sum(w * x_ri * r_vals[i])) / r_norm2[i]
+        if i < d:
+            gamma[i] = float(np.sum(w * x_ri * r_vals[i + 1])) / r_norm2[i + 1]
+            beta[i] = float(np.sum(w * (thetas * r_vals[i + 1]) * r_vals[i])) / r_norm2[i]
+    return polys, alpha, beta, gamma
+
+
+def reference_phi_products(thetas: np.ndarray) -> np.ndarray:
+    """phi_i = prod_{j != i} (theta_i - theta_j), accumulated in an array."""
+    k = len(thetas)
+    phis = np.ones(k)
+    for i in range(k):
+        for j in range(k):
+            if j != i:
+                phis[i] *= thetas[i] - thetas[j]
+    return phis
+
+
+def reference_hoffman(mu, n: int) -> np.ndarray:
+    """(n/phi_0) prod_{i>=1} (x - theta_i) by repeated np.convolve."""
+    h = np.array([1.0])
+    phi0 = 1.0
+    for theta in mu.thetas[1:]:
+        h = np.convolve(h, np.array([-theta, 1.0]))
+        phi0 *= -theta
+    h = n / phi0 * h
+    nz = np.nonzero(h)[0]
+    return h[: nz[-1] + 1] if len(nz) else np.zeros(0)
+
+
+def reference_eval_matrix(p, m: np.ndarray) -> np.ndarray:
+    """Horner at a matrix with a c * I term added at every step,
+    symmetrized."""
+    m = np.asarray(m, dtype=float)
+    n = m.shape[0]
+    acc = np.zeros((n, n))
+    eye = np.eye(n)
+    for c in reversed(np.asarray(p, dtype=float)):
+        acc = acc @ m + c * eye
+    return (acc + acc.T) / 2.0

@@ -8,7 +8,12 @@ import math
 
 import numpy as np
 import pytest
-from helpers import idempotent, permute_graph, random_connected_graph
+from helpers import (
+    idempotent,
+    permute_graph,
+    random_connected_graph,
+    reference_phi_products,
+)
 
 from lapexcess import (
     DistinctSpectrum,
@@ -207,6 +212,15 @@ def test_phi_sign_alternation():
         phis = phi_products(s)
         for i, phi in enumerate(phis):
             assert (-1.0) ** (s.d - i) * phi > 0
+
+
+def test_phi_products_match_reference_bitwise(atlas_corpus):
+    # The same products in the same order as the numpy reference, at any d.
+    graphs = [g for _, g in atlas_corpus]
+    graphs += [generate("path", (128,)), generate("cycle", (128,)), generate("hypercube", (7,))]
+    for g in graphs:
+        s = cluster_spectrum(eigenvalues_sym(laplacian_matrix(g)))
+        assert phi_products(s).tobytes() == reference_phi_products(s.thetas).tobytes(), g
 
 
 def test_phi_single_eigenvalue():

@@ -5,9 +5,16 @@ identity) are swept over seeded random connected graphs; numpy's polynomial
 routines serve as the reference for the coefficient arithmetic.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from helpers import random_connected_graph
+from helpers import (
+    random_connected_graph,
+    reference_eval_matrix,
+    reference_hoffman,
+    reference_predistance,
+)
 
 from lapexcess import (
     SpectralMeasure,
@@ -246,3 +253,75 @@ def test_two_vertex_system():
     assert np.isclose(sys.alpha[0], 1.0)
     assert np.isclose(sys.beta[0], -1.0)
     assert np.isclose(sys.gamma[0], -1.0)
+
+
+# ---------------------------------------------------------------------------
+# Agreement with the numpy references of tests/helpers.py
+# ---------------------------------------------------------------------------
+
+def _same_bits(got, want) -> bool:
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _small_cases(atlas_corpus):
+    # At most 7 distinct eigenvalues each, so every inner product is a sum
+    # of fewer than 8 terms, which np.sum also adds left to right.
+    small = [cycle_graph(k) for k in range(3, 9)] + [path_graph(k) for k in range(1, 8)]
+    return [g for _, g in atlas_corpus] + small
+
+
+def test_small_systems_match_reference_bitwise(atlas_corpus):
+    for g in _small_cases(atlas_corpus):
+        _, mu = _measure_for(g)
+        sys = predistance_system(mu)
+        polys, alpha, beta, gamma = reference_predistance(mu)
+        assert len(sys.polys) == len(polys)
+        assert all(_same_bits(p, q) for p, q in zip(sys.polys, polys)), g
+        assert _same_bits(sys.alpha, alpha) and _same_bits(sys.beta, beta), g
+        assert _same_bits(sys.gamma, gamma), g
+        assert _same_bits(hoffman_polynomial(mu, g.n), reference_hoffman(mu, g.n)), g
+
+
+@pytest.mark.parametrize("g", [path_graph(8), cycle_graph(128), path_graph(128), hypercube_graph(7)],
+                         ids=["path_8", "cycle_128", "path_128", "hypercube_7"])
+def test_large_systems_match_reference(g):
+    # From 8 terms on np.sum adds pairwise and the package left to right,
+    # so the recurrence data agree to rounding only; the Hoffman product
+    # adds two terms per coefficient and stays bitwise equal.
+    _, mu = _measure_for(g)
+    sys = predistance_system(mu)
+    polys, alpha, beta, gamma = reference_predistance(mu)
+    for got, want in zip(sys.polys, polys):
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+    for got, want in ((sys.alpha, alpha), (sys.beta, beta), (sys.gamma, gamma)):
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+    assert _same_bits(hoffman_polynomial(mu, g.n), reference_hoffman(mu, g.n))
+
+
+def test_eval_matrix_matches_reference_bitwise(atlas_corpus):
+    for _, g in atlas_corpus:
+        lap = laplacian_matrix(g)
+        _, mu = _measure_for(g)
+        for p in predistance_system(mu).polys + [hoffman_polynomial(mu, g.n)]:
+            assert _same_bits(eval_matrix(p, lap), reference_eval_matrix(p, lap)), g
+    rng = np.random.default_rng(31)
+    m = rng.standard_normal((9, 9))
+    m = m + m.T
+    for degree in range(-1, 7):
+        p = rng.standard_normal(degree + 1)
+        assert _same_bits(eval_matrix(p, m), reference_eval_matrix(p, m)), degree
+
+
+def test_predistance_system_streams_node_values():
+    # The returned coefficient arrays are O(d^2); the node values must stay
+    # O(d), not one list per degree.
+    _, mu = _measure_for(path_graph(128))
+    tracemalloc.start()
+    try:
+        sys = predistance_system(mu)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    held = sum(p.nbytes for p in sys.polys)
+    assert peak <= 4 * held, (peak, held)

@@ -4,6 +4,7 @@ import networkx as nx
 import numpy as np
 
 from lapexcess import DistinctSpectrum, Graph, phi_products
+from lapexcess.orthopoly import trim
 
 
 def random_connected_graph(rng, n: int, extra_edges: int = 0) -> Graph:
@@ -126,9 +127,7 @@ def reference_hoffman(mu, n: int) -> np.ndarray:
     for theta in mu.thetas[1:]:
         h = np.convolve(h, np.array([-theta, 1.0]))
         phi0 *= -theta
-    h = n / phi0 * h
-    nz = np.nonzero(h)[0]
-    return h[: nz[-1] + 1] if len(nz) else np.zeros(0)
+    return trim(n / phi0 * h)
 
 
 def reference_eval_matrix(p, m: np.ndarray) -> np.ndarray:

@@ -264,15 +264,11 @@ def _same_bits(got, want) -> bool:
     return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
-def _small_cases(atlas_corpus):
+def test_small_systems_match_reference_bitwise(atlas_corpus):
     # At most 7 distinct eigenvalues each, so every inner product is a sum
     # of fewer than 8 terms, which np.sum also adds left to right.
     small = [cycle_graph(k) for k in range(3, 9)] + [path_graph(k) for k in range(1, 8)]
-    return [g for _, g in atlas_corpus] + small
-
-
-def test_small_systems_match_reference_bitwise(atlas_corpus):
-    for g in _small_cases(atlas_corpus):
+    for g in [g for _, g in atlas_corpus] + small:
         _, mu = _measure_for(g)
         sys = predistance_system(mu)
         polys, alpha, beta, gamma = reference_predistance(mu)

@@ -6,8 +6,8 @@ spectral measure, and compare the spectral excess r_d(0) with the average
 number of vertices at distance d.  The two agree exactly when the graph is
 distance-regular, and the average never exceeds the spectral value.
 
-Entry points: :func:`analyze` for the full bundle, :func:`evaluate_theorem`
-for just the verdict report, and the ``lapexcess`` command line tool.
+Entry points: :func:`analyze`, whose ``report`` field holds the verdict,
+and the ``lapexcess`` command line tool.
 """
 
 __version__ = "0.1.0"
@@ -29,11 +29,9 @@ from .graphs import (
     GeneratorError,
     Graph,
     GraphInputError,
-    adjacency_matrix,
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
-    degree_stats,
     distance_data,
     format_edge_list,
     generate,
@@ -48,12 +46,8 @@ from .orthopoly import (
     OrthopolyBreakdownError,
     PredistanceSystem,
     SpectralMeasure,
-    compose_affine,
     eval_matrix,
-    eval_nodes,
-    eval_scalar,
     hoffman_polynomial,
-    inner_product,
     predistance_system,
     spectral_excess_closed_form,
 )
@@ -65,14 +59,10 @@ from .theorem import (
     IntersectionArray,
     MisclusteredSpectrumError,
     OracleRefusal,
-    ThreeEigenvalueReport,
     Verdict,
-    adjacency_distance_polys,
     analyze,
     average_excess,
     drg_oracle,
-    evaluate_theorem,
-    three_eigenvalue_diagnostic,
 )
 from .report import build_document, dumps, format_float, render_text
 
@@ -99,33 +89,24 @@ __all__ = [
     "PredistanceSystem",
     "SpectralMeasure",
     "SpectrumClusterError",
-    "ThreeEigenvalueReport",
     "Verdict",
-    "adjacency_distance_polys",
-    "adjacency_matrix",
     "analyze",
     "average_excess",
     "build_document",
     "cluster_spectrum",
     "complete_bipartite_graph",
     "complete_graph",
-    "compose_affine",
     "cycle_graph",
-    "degree_stats",
     "distance_data",
     "drg_oracle",
     "dumps",
     "eigenvalues_sym",
     "eval_matrix",
-    "eval_nodes",
-    "eval_scalar",
-    "evaluate_theorem",
     "format_edge_list",
     "format_float",
     "generate",
     "hoffman_polynomial",
     "hypercube_graph",
-    "inner_product",
     "laplacian_matrix",
     "parse_edge_list",
     "path_graph",

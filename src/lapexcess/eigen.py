@@ -38,14 +38,14 @@ class SpectrumClusterError(ValueError):
     spectrum (zero eigenvalue missing or repeated, or a negative value)."""
 
 
-def eigenvalues_sym(m: np.ndarray, max_iterations: int = _QL_MAX_ITERATIONS) -> np.ndarray:
+def eigenvalues_sym(m: np.ndarray) -> np.ndarray:
     """All eigenvalues of a dense symmetric matrix, sorted ascending.
 
     Householder tridiagonalization followed by implicit QL with Wilkinson
     shifts.  Deterministic: identical input yields bit-identical output.
 
     Raises :class:`EigenConvergenceError` if one eigenvalue needs more than
-    ``max_iterations`` QL iterations and ValueError if the input is not
+    ``_QL_MAX_ITERATIONS`` QL iterations and ValueError if the input is not
     square and symmetric.
     """
     a = np.array(m, dtype=float)
@@ -60,7 +60,7 @@ def eigenvalues_sym(m: np.ndarray, max_iterations: int = _QL_MAX_ITERATIONS) -> 
     if n == 1:
         return a[0, :1].copy()
     d, e = _tridiagonalize(a)
-    _implicit_ql(d, e, max_iterations)
+    _implicit_ql(d, e)
     return np.sort(np.array(d))
 
 
@@ -96,7 +96,7 @@ def _tridiagonalize(a: np.ndarray) -> tuple[list[float], list[float]]:
     return a.diagonal().tolist(), e
 
 
-def _implicit_ql(d: list[float], e: list[float], max_iterations: int) -> None:
+def _implicit_ql(d: list[float], e: list[float]) -> None:
     """Overwrite ``d`` with the eigenvalues of the symmetric tridiagonal
     with diagonal d and off-diagonal e (len(e) == len(d) - 1); ``e`` is
     destroyed.
@@ -116,7 +116,7 @@ def _implicit_ql(d: list[float], e: list[float], max_iterations: int) -> None:
                 m += 1
             if m == l:
                 break
-            if iterations >= max_iterations:
+            if iterations >= _QL_MAX_ITERATIONS:
                 raise EigenConvergenceError(
                     f"eigenvalue {l} of {n} not converged after {iterations} "
                     f"QL iterations (off-diagonal {e[l]:g})"

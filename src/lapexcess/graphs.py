@@ -96,10 +96,6 @@ class Graph:
             deg[v] += 1
         return np.array(deg, dtype=int)
 
-    def is_regular(self) -> bool:
-        deg = self.degrees()
-        return bool(np.all(deg == deg[0]))
-
     def neighbor_lists(self) -> list:
         """Sorted adjacency lists, one per vertex."""
         adj = [[] for _ in range(self.n)]
@@ -306,15 +302,6 @@ def generate(family: str, params=()) -> Graph:
 # Matrices and distance combinatorics
 # ---------------------------------------------------------------------------
 
-def adjacency_matrix(g: Graph) -> np.ndarray:
-    """Dense 0/1 adjacency matrix (symmetric, zero diagonal)."""
-    a = np.zeros((g.n, g.n))
-    for u, v in g.edges:
-        a[u, v] = 1.0
-        a[v, u] = 1.0
-    return a
-
-
 def laplacian_matrix(g: Graph) -> np.ndarray:
     """Laplacian matrix: degree on the diagonal, -1 per edge off-diagonal.
 
@@ -371,8 +358,3 @@ def distance_data(g: Graph) -> DistanceData:
     counts = np.bincount(keys.ravel(), minlength=(diameter + 1) * n).reshape(diameter + 1, n)
     return DistanceData(dist, diameter, counts)
 
-
-def degree_stats(g: Graph) -> tuple:
-    """Mean degree and mean squared degree, (sum deg)/n and (sum deg^2)/n."""
-    deg = g.degrees().astype(float)
-    return float(deg.mean()), float((deg**2).mean())

@@ -61,38 +61,6 @@ def trim(coeffs) -> np.ndarray:
     return c[: nz[-1] + 1].copy()
 
 
-def poly_add(p, q) -> np.ndarray:
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    out = np.zeros(max(len(p), len(q)))
-    out[: len(p)] += p
-    out[: len(q)] += q
-    return trim(out)
-
-
-def poly_mul(p, q) -> np.ndarray:
-    if len(p) == 0 or len(q) == 0:
-        return np.zeros(0)
-    return trim(np.convolve(p, q))
-
-
-def eval_scalar(p, x: float) -> float:
-    """Horner evaluation of an ascending coefficient array at a scalar."""
-    acc = 0.0
-    for c in reversed(np.asarray(p, dtype=float).tolist()):
-        acc = acc * x + c
-    return float(acc)
-
-
-def eval_nodes(p, xs: np.ndarray) -> np.ndarray:
-    """Horner evaluation at an array of points."""
-    xs = np.asarray(xs, dtype=float)
-    acc = np.zeros_like(xs)
-    for c in reversed(np.asarray(p, dtype=float)):
-        acc = acc * xs + c
-    return acc
-
-
 def eval_matrix(p, m: np.ndarray) -> np.ndarray:
     """Horner evaluation at a square symmetric matrix.
 
@@ -108,15 +76,6 @@ def eval_matrix(p, m: np.ndarray) -> np.ndarray:
             acc = acc @ m
         acc.reshape(-1)[:: n + 1] += c  # + c I, in place on the diagonal
     return (acc + acc.T) / 2.0
-
-
-def compose_affine(p, c0: float, c1: float) -> np.ndarray:
-    """Coefficients of p(c0 + c1*x), by Horner in the polynomial ring."""
-    acc = np.zeros(0)
-    shift = np.array([c0, c1])
-    for c in reversed(np.asarray(p, dtype=float)):
-        acc = poly_add(poly_mul(acc, shift), np.array([c]))
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -154,16 +113,6 @@ class SpectralMeasure:
         return len(self.thetas) - 1
 
 
-def inner_product(p, q, mu: SpectralMeasure) -> float:
-    """<p, q> = sum_i w_i p(theta_i) q(theta_i).
-
-    Exact weighted sum over the d+1 nodes.  For arguments of degree beyond
-    d the form is degenerate (it only sees values on the nodes), which is
-    exactly what the recurrence projections need.
-    """
-    return float(np.sum(mu.weights * eval_nodes(p, mu.thetas) * eval_nodes(q, mu.thetas)))
-
-
 @dataclass(frozen=True)
 class PredistanceSystem:
     """The polynomials r_0..r_d with their recurrence coefficients.
@@ -188,7 +137,8 @@ def predistance_system(mu: SpectralMeasure) -> PredistanceSystem:
 
     Stieltjes procedure for the monic orthogonal sequence q_i (tracking
     both coefficients and node values), each q_i rescaled as soon as it is
-    produced to r_i = (q_i(0)/<q_i, q_i>) q_i so that <r_i, r_i> = r_i(0).
+    produced to r_i = (q_i(0)/<q_i, q_i>) q_i so that <r_i, r_i> = r_i(0),
+    which is then the constant coefficient polys[i][0].
     The recurrence coefficients are read off by projecting x*r_i onto the
     r-basis:
 

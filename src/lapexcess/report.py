@@ -38,13 +38,15 @@ def format_float(x: float) -> str:
     return s
 
 
-def dumps(obj, indent: int = 2) -> str:
-    """Serialize dicts/lists/scalars to JSON with format_float for reals."""
-    return _emit(obj, "", " " * indent)
+def dumps(obj) -> str:
+    """Serialize dicts/lists/scalars to JSON, two spaces per level, with
+    format_float for reals."""
+    return _emit(obj, "")
 
 
-def _emit(obj, pad: str, step: str) -> str:
-    """obj as JSON text; pad indents the line obj starts on, step each level.
+def _emit(obj, pad: str) -> str:
+    """obj as JSON text; pad indents the line obj starts on, two more spaces
+    each level.
 
     The exact-type tests come first and in order of frequency (a report is
     mostly floats); the isinstance tests after them catch numpy scalars and
@@ -60,17 +62,17 @@ def _emit(obj, pad: str, step: str) -> str:
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        inner = pad + step
+        inner = pad + "  "
         # encoding a key that is not a str raises TypeError
         items = ",\n".join(
-            f"{inner}{_encode_str(key)}: {_emit(val, inner, step)}" for key, val in obj.items()
+            f"{inner}{_encode_str(key)}: {_emit(val, inner)}" for key, val in obj.items()
         )
         return f"{{\n{items}\n{pad}}}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        inner = pad + step
-        items = ",\n".join(f"{inner}{_emit(val, inner, step)}" for val in obj)
+        inner = pad + "  "
+        items = ",\n".join(f"{inner}{_emit(val, inner)}" for val in obj)
         return f"[\n{items}\n{pad}]"
     if obj is None:
         return "null"
@@ -293,5 +295,5 @@ def render_spectrum_text(g, raw, spectrum, phis) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _indent(block: str, prefix: str = "  ") -> str:
-    return "\n".join(prefix + line for line in block.splitlines())
+def _indent(block: str) -> str:
+    return "\n".join("  " + line for line in block.splitlines())

@@ -18,6 +18,7 @@ number check), which double-checks decisive verdicts on small graphs.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,19 +30,11 @@ from .eigen import (
     eigenvalues_sym,
     phi_products,
 )
-from .graphs import (
-    DistanceData,
-    Graph,
-    degree_stats,
-    distance_data,
-    laplacian_matrix,
-)
+from .graphs import DistanceData, Graph, distance_data, laplacian_matrix
 from .orthopoly import (
     PredistanceSystem,
     SpectralMeasure,
-    compose_affine,
     eval_matrix,
-    eval_scalar,
     hoffman_polynomial,
     predistance_system,
     spectral_excess_closed_form,
@@ -102,10 +95,6 @@ class IntersectionArray:
     @property
     def diameter(self) -> int:
         return len(self.b)
-
-    @property
-    def degree(self) -> int:
-        return self.b[0] if self.b else 0
 
     def __str__(self) -> str:
         bs = ",".join(str(x) for x in self.b)
@@ -255,17 +244,18 @@ def analyze(
     tol_eig: float = DEFAULT_CLUSTER_TOL,
     tol_eq: float = DEFAULT_EQUALITY_TOL,
     run_oracle: bool = True,
-    oracle_max_n: int = ORACLE_MAX_N,
 ) -> Analysis:
     """Run the full pipeline on a connected graph.
 
     Laplacian, spectrum, clustering, predistance system, spectral excess by
-    both routes (polynomial evaluation and the closed form from the
-    eigenvalues), Hoffman identity residual, BFS distance data, average
-    excess, verdict, and (when enabled and the graph is small enough) the
-    combinatorial oracle.  Decisive verdicts are cross-checked against the
-    oracle; a disagreement raises InternalCheckError rather than returning
-    a report that contradicts the theorem.
+    both routes (the constant coefficient of r_d, which the normalization
+    <r_d, r_d> = r_d(0) fixes, and the closed form from the eigenvalues),
+    Hoffman identity residual, BFS distance data, average excess, verdict,
+    and (when enabled and the graph has at most ORACLE_MAX_N vertices) the
+    combinatorial oracle.  Every cross-check fails closed: a non-finite
+    spectral quantity, a disagreement between the two routes, or a decisive
+    verdict the oracle contradicts raises InternalCheckError rather than
+    returning a report that contradicts the theorem.
     """
     lap = laplacian_matrix(g)
     raw = eigenvalues_sym(lap)
@@ -274,10 +264,16 @@ def analyze(
     system = predistance_system(measure)
     d = spectrum.d
 
-    r_d0 = eval_scalar(system.polys[d], 0.0)
+    # r_d(0) = <r_d, r_d> is the constant coefficient the Stieltjes loop
+    # stored; Horner at 0 gives the same bits, but turns an overflowed
+    # higher coefficient into NaN (inf * 0).
+    r_d0 = float(system.polys[d][0])
+    if not math.isfinite(r_d0):
+        raise InternalCheckError(f"spectral excess r_d(0) is not finite: {r_d0!r}")
     phis = phi_products(spectrum)
     closed = spectral_excess_closed_form(measure, phis, g.n)
-    if abs(closed - r_d0) > tol_eq * max(1.0, abs(r_d0)):
+    # written so that a NaN on either side trips it
+    if not abs(closed - r_d0) <= tol_eq * max(1.0, abs(r_d0)):
         raise InternalCheckError(
             f"spectral excess disagrees between routes: polynomial gives "
             f"{r_d0!r}, closed form gives {closed!r}"
@@ -295,6 +291,10 @@ def analyze(
 
     gap = r_d0 - kbar
     rel = gap / r_d0
+    if not math.isfinite(rel):
+        raise InternalCheckError(
+            f"relative gap is not finite: ({r_d0!r} - {kbar!r}) / {r_d0!r} = {rel!r}"
+        )
     if rel < -10.0 * tol_eq:
         raise InternalCheckError(
             f"average excess {kbar!r} exceeds spectral excess {r_d0!r} by "
@@ -315,7 +315,7 @@ def analyze(
         residuals[i] = float(np.max(np.abs(eval_matrix(system.polys[i], lap) - target)))
 
     oracle = None
-    if run_oracle and g.n <= oracle_max_n:
+    if run_oracle and g.n <= ORACLE_MAX_N:
         oracle = drg_oracle(g, dd)
         if verdict is Verdict.DISTANCE_REGULAR and isinstance(oracle, OracleRefusal):
             raise InternalCheckError(
@@ -356,81 +356,4 @@ def analyze(
         report=report,
         tol_eig=tol_eig,
         tol_eq=tol_eq,
-    )
-
-
-def evaluate_theorem(g: Graph, **kwargs) -> ExcessReport:
-    """Convenience wrapper: run analyze and return just the verdict report.
-
-    Keyword arguments are those of analyze.
-    """
-    return analyze(g, **kwargs).report
-
-
-# ---------------------------------------------------------------------------
-# Regular-graph conversion and the three-eigenvalue special case
-# ---------------------------------------------------------------------------
-
-def adjacency_distance_polys(system: PredistanceSystem, k: int) -> list:
-    """Distance polynomials in the adjacency matrix for a k-regular graph:
-    p_i(x) = r_i(k - x).
-
-    On a regular graph L = k*I - A, so evaluating r_i at the Laplacian is
-    the same as evaluating p_i at the adjacency matrix.  The caller must
-    have verified regularity; the conversion is meaningless otherwise.
-    """
-    return [compose_affine(p, float(k), -1.0) for p in system.polys]
-
-
-@dataclass(frozen=True)
-class ThreeEigenvalueReport:
-    """The d = 2 specialization, where distance-regularity is equivalent to
-    plain regularity and the verdict reduces to zero degree variance."""
-
-    mean_degree: float
-    mean_square_degree: float
-    variance_gap: float
-    gamma_1: float
-    regular: bool
-    verdict: Verdict
-    spectral_verdict: Verdict
-
-
-def three_eigenvalue_diagnostic(g: Graph, **kwargs) -> ThreeEigenvalueReport:
-    """Diagnostic for graphs with exactly three distinct Laplacian
-    eigenvalues.
-
-    Such a graph is distance-regular precisely when it is regular, i.e.
-    when the degree variance mean(k^2) - mean(k)^2 vanishes.  The report
-    carries the degree statistics, the variance gap, and the recurrence
-    coefficient gamma_1 = -1 + mean(k) - mean(k^2)/mean(k) implied by them.
-    The variance-based verdict is checked against the spectral one; a
-    decisive disagreement raises InternalCheckError.
-
-    Raises ValueError when the graph does not have d = 2.  Keyword
-    arguments are those of analyze.
-    """
-    analysis = analyze(g, **kwargs)
-    if analysis.spectrum.d != 2:
-        raise ValueError(
-            f"diagnostic requires exactly 3 distinct eigenvalues, "
-            f"got {analysis.spectrum.d + 1}"
-        )
-    kbar, ksq = degree_stats(g)
-    regular = g.is_regular()
-    verdict = Verdict.DISTANCE_REGULAR if regular else Verdict.NOT_DISTANCE_REGULAR
-    spectral = analysis.report.verdict
-    if spectral is not Verdict.INCONCLUSIVE and spectral is not verdict:
-        raise InternalCheckError(
-            f"degree variance test says {verdict.value} but the spectral "
-            f"pipeline says {spectral.value}"
-        )
-    return ThreeEigenvalueReport(
-        mean_degree=kbar,
-        mean_square_degree=ksq,
-        variance_gap=ksq - kbar * kbar,
-        gamma_1=-1.0 + kbar - ksq / kbar,
-        regular=regular,
-        verdict=verdict,
-        spectral_verdict=spectral,
     )

@@ -1,9 +1,12 @@
 """Small builders shared across test modules."""
 
+import math
+
 import networkx as nx
 import numpy as np
+from numpy.polynomial import polynomial as P
 
-from lapexcess import DistinctSpectrum, Graph, phi_products
+from lapexcess import DistinctSpectrum, Graph, PredistanceSystem, phi_products, theorem
 from lapexcess.orthopoly import trim
 
 
@@ -38,6 +41,31 @@ def to_networkx(g: Graph) -> nx.Graph:
     h.add_nodes_from(range(g.n))
     h.add_edges_from(g.sorted_edges())
     return h
+
+
+def adjacency(g: Graph) -> np.ndarray:
+    """Dense 0/1 adjacency matrix, built by networkx."""
+    return nx.to_numpy_array(to_networkx(g), nodelist=range(g.n))
+
+
+def inner_product(p, q, mu) -> float:
+    """<p, q> = sum_i w_i p(theta_i) q(theta_i) over the measure's nodes."""
+    return float(np.sum(mu.weights * P.polyval(mu.thetas, p) * P.polyval(mu.thetas, q)))
+
+
+def poison_spectral_excess(monkeypatch) -> None:
+    """Make theorem.predistance_system return an r_d whose constant
+    coefficient, the spectral excess r_d(0), is NaN."""
+    real = theorem.predistance_system
+
+    def poisoned(mu):
+        sys = real(mu)
+        polys = list(sys.polys)
+        polys[-1] = polys[-1].copy()
+        polys[-1][0] = math.nan
+        return PredistanceSystem(polys, sys.alpha, sys.beta, sys.gamma)
+
+    monkeypatch.setattr(theorem, "predistance_system", poisoned)
 
 
 def idempotent(lap: np.ndarray, s: DistinctSpectrum, i: int) -> np.ndarray:

@@ -6,12 +6,14 @@ subprocesses to exercise the installed entry point end to end.
 
 import io
 import json
+import math
 import subprocess
 import sys
 
 import pytest
+from helpers import poison_spectral_excess
 
-from lapexcess import InternalCheckError
+from lapexcess import InternalCheckError, theorem
 from lapexcess.cli import main
 
 
@@ -99,6 +101,22 @@ def test_unexpected_exceptions_exit_70(monkeypatch, capsys, error):
     assert main(["analyze", "--gen", "petersen"]) == 70
     err = capsys.readouterr().err
     assert err == f"lapexcess: internal error: {type(error).__name__}: {error}\n"
+
+
+def test_nan_closed_form_exits_70(monkeypatch, capsys):
+    monkeypatch.setattr(theorem, "spectral_excess_closed_form", lambda mu, phis, n: math.nan)
+    assert main(["analyze", "--gen", "petersen"]) == 70
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "disagrees between routes" in err
+
+
+def test_nan_spectral_excess_exits_70(monkeypatch, capsys):
+    poison_spectral_excess(monkeypatch)
+    assert main(["analyze", "--gen", "petersen"]) == 70
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "r_d(0) is not finite" in err
 
 
 def test_hypercube_8_runs_clean_with_warnings_as_errors():

@@ -27,6 +27,7 @@ from lapexcess import (
     petersen_graph,
     phi_products,
 )
+from lapexcess import eigen
 
 
 def assert_matches_eigvalsh(m):
@@ -136,10 +137,11 @@ def test_tolerates_rounding_level_asymmetry():
     assert np.allclose(got, [1.0, 3.0], atol=1e-12)
 
 
-def test_iteration_budget_exhaustion_raises():
+def test_iteration_budget_exhaustion_raises(monkeypatch):
+    monkeypatch.setattr(eigen, "_QL_MAX_ITERATIONS", 0)
     m = np.ones((6, 6)) + np.eye(6)
     with pytest.raises(EigenConvergenceError):
-        eigenvalues_sym(m, max_iterations=0)
+        eigenvalues_sym(m)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ part in the package itself.
 
 import numpy as np
 import pytest
-from helpers import random_connected_graph, to_networkx
+from helpers import adjacency, random_connected_graph, to_networkx
 
 import networkx as nx
 from lapexcess import (
@@ -15,11 +15,9 @@ from lapexcess import (
     GeneratorError,
     Graph,
     GraphInputError,
-    adjacency_matrix,
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
-    degree_stats,
     distance_data,
     format_edge_list,
     generate,
@@ -77,8 +75,7 @@ def test_degrees_and_neighbors():
     g = path_graph(4)
     assert list(g.degrees()) == [1, 2, 2, 1]
     assert g.neighbor_lists() == [[1], [0, 2], [1, 3], [2]]
-    assert not g.is_regular()
-    assert cycle_graph(5).is_regular()
+    assert set(cycle_graph(5).degrees().tolist()) == {2}
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +150,7 @@ def test_path_and_cycle_counts():
 def test_complete_and_bipartite():
     k5 = complete_graph(5)
     assert k5.edge_count == 10
-    assert k5.is_regular()
+    assert set(k5.degrees().tolist()) == {4}
     k23 = complete_bipartite_graph(2, 3)
     assert k23.n == 5
     assert k23.edge_count == 6
@@ -170,14 +167,14 @@ def test_petersen_shape():
     p = petersen_graph()
     assert p.n == 10
     assert p.edge_count == 15
-    assert p.is_regular()
+    assert set(p.degrees().tolist()) == {3}
     dd = distance_data(p)
     assert dd.diameter == 2
     # 3-regular, 6 vertices at distance two from each vertex
     assert np.all(dd.excess_counts[1] == 3)
     assert np.all(dd.excess_counts[2] == 6)
     # girth 5: no two adjacent vertices share a neighbor
-    a = adjacency_matrix(p)
+    a = adjacency(p)
     assert np.max((a @ a) * a) == 0
 
 
@@ -185,7 +182,7 @@ def test_hypercube():
     q3 = hypercube_graph(3)
     assert q3.n == 8
     assert q3.edge_count == 12
-    assert q3.is_regular()
+    assert set(q3.degrees().tolist()) == {3}
     assert distance_data(q3).diameter == 3
 
 
@@ -218,7 +215,7 @@ def test_laplacian_structure():
     assert np.array_equal(lap, lap.T)
     assert np.allclose(lap.sum(axis=1), 0.0)
     assert lap.trace() == 2 * g.edge_count
-    assert np.array_equal(lap, np.diag(g.degrees()) - adjacency_matrix(g))
+    assert np.array_equal(lap, np.diag(g.degrees()) - adjacency(g))
 
 
 def test_matrices_match_networkx():
@@ -226,13 +223,9 @@ def test_matrices_match_networkx():
     for _ in range(10):
         n = int(rng.integers(2, 12))
         g = random_connected_graph(rng, n, extra_edges=int(rng.integers(0, 6)))
-        h = to_networkx(g)
-        assert np.array_equal(
-            adjacency_matrix(g), nx.to_numpy_array(h, nodelist=range(n))
-        )
         assert np.array_equal(
             laplacian_matrix(g),
-            nx.laplacian_matrix(h, nodelist=range(n)).toarray().astype(float),
+            nx.laplacian_matrix(to_networkx(g), nodelist=range(n)).toarray().astype(float),
         )
 
 
@@ -253,7 +246,7 @@ def test_distance_data_matches_networkx():
         assert np.array_equal(sum(c.astype(int) for c in classes), np.ones((g.n, g.n)))
         assert np.array_equal(classes[0], np.eye(g.n))
         if dd.diameter >= 1:
-            assert np.array_equal(classes[1], adjacency_matrix(g))
+            assert np.array_equal(classes[1], adjacency(g))
         # counts[i, u] is the number of vertices at distance i from u
         expected = np.zeros((dd.diameter + 1, g.n), dtype=int)
         for u in range(g.n):
@@ -263,8 +256,3 @@ def test_distance_data_matches_networkx():
         # counts column-sum to n
         assert np.all(dd.excess_counts.sum(axis=0) == g.n)
 
-
-def test_degree_stats():
-    kbar, ksq = degree_stats(star_graph(3))
-    assert kbar == 1.5
-    assert ksq == 3.0

@@ -5,29 +5,30 @@ identity) are swept over seeded random connected graphs; numpy's polynomial
 routines serve as the reference for the coefficient arithmetic.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 from helpers import (
+    inner_product,
     random_connected_graph,
     reference_eval_matrix,
     reference_hoffman,
     reference_predistance,
 )
+from numpy.polynomial import polynomial as P
 
 from lapexcess import (
+    DistinctSpectrum,
     SpectralMeasure,
+    analyze,
     cluster_spectrum,
-    compose_affine,
     cycle_graph,
     eigenvalues_sym,
     eval_matrix,
-    eval_nodes,
-    eval_scalar,
     hoffman_polynomial,
     hypercube_graph,
-    inner_product,
     laplacian_matrix,
     path_graph,
     petersen_graph,
@@ -35,7 +36,7 @@ from lapexcess import (
     predistance_system,
     spectral_excess_closed_form,
 )
-from lapexcess.orthopoly import poly_add, poly_mul, trim
+from lapexcess.orthopoly import trim
 
 
 def _measure_for(g):
@@ -54,31 +55,12 @@ def test_trim():
     assert len(trim([])) == 0
 
 
-def test_add_mul_against_numpy():
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        p = rng.standard_normal(int(rng.integers(1, 6)))
-        q = rng.standard_normal(int(rng.integers(1, 6)))
-        got = poly_mul(p, q)
-        want = np.polynomial.polynomial.polymul(p, q)
-        assert np.allclose(got, want[: len(got)])
-        s = poly_add(p, q)
-        want_s = np.polynomial.polynomial.polyadd(p, q)
-        assert np.allclose(s, trim(want_s))
-
-
-def test_mul_with_zero_polynomial():
-    assert len(poly_mul([], [1.0, 2.0])) == 0
-
-
 def test_eval_routes_agree():
+    # at a diagonal matrix, eval_matrix is the polynomial at each entry
     rng = np.random.default_rng(17)
     p = rng.standard_normal(5)
     xs = rng.standard_normal(7)
-    want = np.polynomial.polynomial.polyval(xs, p)
-    assert np.allclose(eval_nodes(p, xs), want)
-    for x in xs:
-        assert np.isclose(eval_scalar(p, float(x)), np.polynomial.polynomial.polyval(x, p))
+    assert np.allclose(eval_matrix(p, np.diag(xs)), np.diag(P.polyval(xs, p)))
 
 
 def test_eval_matrix_symmetric():
@@ -91,18 +73,7 @@ def test_eval_matrix_symmetric():
 
 
 def test_eval_empty_polynomial_is_zero():
-    assert eval_scalar([], 3.0) == 0.0
     assert np.array_equal(eval_matrix([], np.eye(2)), np.zeros((2, 2)))
-
-
-def test_compose_affine():
-    # p(x) = x^2, p(3 - x) = 9 - 6x + x^2
-    assert np.allclose(compose_affine([0.0, 0.0, 1.0], 3.0, -1.0), [9.0, -6.0, 1.0])
-    rng = np.random.default_rng(23)
-    p = rng.standard_normal(6)
-    xs = rng.standard_normal(9)
-    composed = compose_affine(p, 1.5, -2.0)
-    assert np.allclose(eval_nodes(composed, xs), eval_nodes(p, 1.5 - 2.0 * xs))
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +138,7 @@ def test_orthogonality_and_normalization(random_systems):
             for j in range(i + 1, sys.d + 1):
                 assert abs(inner_product(sys.polys[i], sys.polys[j], mu)) <= 1e-8
             norm2 = inner_product(sys.polys[i], sys.polys[i], mu)
-            at_zero = eval_scalar(sys.polys[i], 0.0)
+            at_zero = P.polyval(0.0, sys.polys[i])
             assert np.isclose(norm2, at_zero, rtol=1e-8, atol=1e-10)
             assert at_zero > 0
 
@@ -181,18 +152,16 @@ def test_recurrence_coefficient_identity(random_systems):
         d = sys.d
         scale = max(1.0, float(spectrum.thetas[-1]))
         for i in range(d + 1):
-            lhs = poly_mul([0.0, 1.0], sys.polys[i])
+            lhs = P.polymul([0.0, 1.0], sys.polys[i])
             rhs = sys.alpha[i] * np.asarray(sys.polys[i])
-            rhs = poly_add(rhs, np.zeros(0))
             if i > 0:
-                rhs = poly_add(rhs, sys.beta[i - 1] * np.asarray(sys.polys[i - 1]))
+                rhs = P.polyadd(rhs, sys.beta[i - 1] * np.asarray(sys.polys[i - 1]))
             if i < d:
-                rhs = poly_add(rhs, sys.gamma[i] * np.asarray(sys.polys[i + 1]))
-                diff = poly_add(lhs, -rhs)
-                mag = float(np.max(np.abs(diff))) if len(diff) else 0.0
-                assert mag <= 1e-6 * scale
+                rhs = P.polyadd(rhs, sys.gamma[i] * np.asarray(sys.polys[i + 1]))
+                diff = P.polysub(lhs, rhs)
+                assert float(np.max(np.abs(diff))) <= 1e-6 * scale
             else:
-                err = eval_nodes(lhs, mu.thetas) - eval_nodes(rhs, mu.thetas)
+                err = P.polyval(mu.thetas, lhs) - P.polyval(mu.thetas, rhs)
                 assert float(np.max(np.abs(err))) <= 1e-6 * scale
 
 
@@ -212,11 +181,11 @@ def test_coefficient_sum_and_signs(random_systems):
 def test_hoffman_identity(random_systems):
     for g, spectrum, mu, sys in random_systems:
         h = hoffman_polynomial(mu, g.n)
-        assert np.isclose(eval_scalar(h, 0.0), g.n, rtol=1e-9)
+        assert np.isclose(P.polyval(0.0, h), g.n, rtol=1e-9)
         # H equals the sum of all predistance polynomials
-        total = np.zeros(0)
+        total = np.zeros(1)
         for p in sys.polys:
-            total = poly_add(total, p)
+            total = P.polyadd(total, p)
         assert np.allclose(h, total, rtol=1e-7, atol=1e-8)
         # H(L) is the all-ones matrix
         residual = np.max(np.abs(eval_matrix(h, laplacian_matrix(g)) - 1.0))
@@ -227,8 +196,36 @@ def test_closed_form_matches_evaluation(random_systems):
     for g, spectrum, mu, sys in random_systems:
         phis = phi_products(spectrum)
         closed = spectral_excess_closed_form(mu, phis, g.n)
-        direct = eval_scalar(sys.polys[-1], 0.0)
+        direct = P.polyval(0.0, sys.polys[-1])
         assert np.isclose(closed, direct, rtol=1e-8, atol=1e-12)
+
+
+def test_path_900_spectral_excess_from_normalization():
+    # P_n has Laplacian eigenvalues 2 - 2 cos(pi j / n), each simple.  At
+    # n = 900 some monomial coefficients of r_d overflow, so Horner at 0
+    # gives inf * 0 = NaN; the constant coefficient, which the
+    # normalization <r_d, r_d> = r_d(0) fixes, stays finite.
+    n = 900
+    thetas = 2.0 - 2.0 * np.cos(np.pi * np.arange(n) / n)
+    mu = SpectralMeasure(thetas, np.full(n, 1.0 / n))
+    sys = predistance_system(mu)
+    r_d0 = float(sys.polys[-1][0])
+    assert not np.all(np.isfinite(sys.polys[-1]))
+    assert math.isfinite(r_d0)
+    phis = phi_products(DistinctSpectrum(thetas, np.ones(n, dtype=int)))
+    closed = spectral_excess_closed_form(mu, phis, n)
+    assert abs(r_d0 - closed) <= 1e-8 * closed
+
+
+@pytest.mark.parametrize("g", [petersen_graph(), path_graph(5), cycle_graph(9), hypercube_graph(3)],
+                         ids=["petersen", "path_5", "cycle_9", "hypercube_3"])
+def test_spectral_excess_is_the_stored_constant_coefficient(g):
+    # Horner at 0 ends in acc * 0.0 + c_0, which is c_0 bit for bit when
+    # every coefficient is finite.
+    a = analyze(g)
+    r_d = a.system.polys[a.spectrum.d]
+    assert a.report.spectral_excess == r_d[0] == P.polyval(0.0, r_d)
+    assert type(a.report.spectral_excess) is float
 
 
 def test_single_vertex_system():

@@ -1,8 +1,17 @@
-"""Verdict pipeline, combinatorial oracle, and the special-case reports."""
+"""Verdict pipeline and combinatorial oracle."""
 
+import math
+
+import networkx as nx
 import numpy as np
 import pytest
-from helpers import permute_graph, random_connected_graph
+from helpers import (
+    adjacency,
+    permute_graph,
+    poison_spectral_excess,
+    random_connected_graph,
+    to_networkx,
+)
 
 from lapexcess import (
     Graph,
@@ -11,8 +20,6 @@ from lapexcess import (
     MisclusteredSpectrumError,
     OracleRefusal,
     Verdict,
-    adjacency_distance_polys,
-    adjacency_matrix,
     analyze,
     average_excess,
     complete_graph,
@@ -20,13 +27,12 @@ from lapexcess import (
     distance_data,
     drg_oracle,
     eval_matrix,
-    evaluate_theorem,
     hypercube_graph,
     path_graph,
     petersen_graph,
     star_graph,
-    three_eigenvalue_diagnostic,
 )
+from lapexcess import theorem
 
 
 def prism_graph() -> Graph:
@@ -77,7 +83,6 @@ def test_oracle_petersen():
     assert arr.b == (3, 2)
     assert arr.c == (1, 1)
     assert arr.a == (0, 2)
-    assert arr.degree == 3
     assert str(arr) == "{3,2;1,1}"
 
 
@@ -130,7 +135,7 @@ def test_intersection_array_validation():
 # ---------------------------------------------------------------------------
 
 def test_petersen_report():
-    rep = evaluate_theorem(petersen_graph())
+    rep = analyze(petersen_graph()).report
     assert rep.verdict is Verdict.DISTANCE_REGULAR
     assert rep.d == 2
     assert rep.diameter == 2
@@ -143,14 +148,14 @@ def test_petersen_report():
 
 
 def test_star_not_distance_regular():
-    rep = evaluate_theorem(star_graph(3))
+    rep = analyze(star_graph(3)).report
     assert rep.verdict is Verdict.NOT_DISTANCE_REGULAR
     assert rep.average_excess < rep.spectral_excess
     assert rep.oracle is None
 
 
 def test_path4_quantities():
-    rep = evaluate_theorem(path_graph(4))
+    rep = analyze(path_graph(4)).report
     assert rep.verdict is Verdict.NOT_DISTANCE_REGULAR
     assert np.isclose(rep.spectral_excess, 0.8, atol=1e-9)
     assert rep.average_excess == 0.5
@@ -158,7 +163,7 @@ def test_path4_quantities():
 
 
 def test_single_vertex_is_distance_regular():
-    rep = evaluate_theorem(Graph(1))
+    rep = analyze(Graph(1)).report
     assert rep.verdict is Verdict.DISTANCE_REGULAR
     assert rep.d == 0
     assert rep.spectral_excess == 1.0
@@ -176,7 +181,7 @@ def test_paw_has_d_beyond_diameter():
 
 def test_report_average_matches_per_vertex_mean():
     for g in (petersen_graph(), path_graph(5), prism_graph()):
-        rep = evaluate_theorem(g)
+        rep = analyze(g).report
         assert rep.average_excess == pytest.approx(float(np.mean(rep.per_vertex_excess)))
 
 
@@ -184,10 +189,10 @@ def test_relabeling_invariance():
     rng = np.random.default_rng(314)
     base = [petersen_graph(), prism_graph(), random_connected_graph(rng, 9, 5)]
     for g in base:
-        ref = evaluate_theorem(g)
+        ref = analyze(g).report
         for _ in range(3):
             perm = rng.permutation(g.n)
-            rep = evaluate_theorem(permute_graph(g, perm))
+            rep = analyze(permute_graph(g, perm)).report
             assert rep.verdict is ref.verdict
             assert np.isclose(rep.average_excess, ref.average_excess, atol=1e-12)
             assert np.isclose(rep.spectral_excess, ref.spectral_excess, atol=1e-9)
@@ -200,15 +205,16 @@ def test_no_oracle_flag():
     assert a.report.verdict is Verdict.DISTANCE_REGULAR
 
 
-def test_oracle_size_cap():
-    a = analyze(petersen_graph(), oracle_max_n=5)
+def test_oracle_size_cap(monkeypatch):
+    monkeypatch.setattr(theorem, "ORACLE_MAX_N", 5)
+    a = analyze(petersen_graph())
     assert a.oracle is None
 
 
 def test_gray_zone_is_inconclusive():
     # path(4) has relative gap 0.375; a tolerance of 0.1 puts it between
     # tol and 10*tol
-    rep = evaluate_theorem(path_graph(4), tol_eq=0.1, run_oracle=False)
+    rep = analyze(path_graph(4), tol_eq=0.1, run_oracle=False).report
     assert rep.verdict is Verdict.INCONCLUSIVE
 
 
@@ -217,7 +223,7 @@ def test_sloppy_tolerance_trips_oracle_audit():
     # disagrees and the pipeline must refuse to return the report
     with pytest.raises(InternalCheckError):
         analyze(path_graph(4), tol_eq=0.5)
-    rep = evaluate_theorem(path_graph(4), tol_eq=0.5, run_oracle=False)
+    rep = analyze(path_graph(4), tol_eq=0.5, run_oracle=False).report
     assert rep.verdict is Verdict.DISTANCE_REGULAR  # unaudited, by request
 
 
@@ -236,14 +242,20 @@ def test_corpus_structural_invariants(analyzed_corpus):
 
 
 # ---------------------------------------------------------------------------
-# Regular-graph conversion and the d = 2 diagnostic
+# Regular graphs: distance polynomials in A, and the d = 2 case
 # ---------------------------------------------------------------------------
+
+def _adjacency_polys(a, k: int) -> list:
+    """p_i(x) = r_i(k - x): on a k-regular graph L = kI - A, so p_i(A) = r_i(L)."""
+    shift = np.polynomial.Polynomial([float(k), -1.0])
+    return [np.polynomial.Polynomial(p)(shift).coef for p in a.system.polys]
+
 
 def test_adjacency_polys_petersen():
     g = petersen_graph()
     a = analyze(g)
-    polys = adjacency_distance_polys(a.system, 3)
-    adj = adjacency_matrix(g)
+    polys = _adjacency_polys(a, 3)
+    adj = adjacency(g)
     dd = a.distances
     assert np.allclose(eval_matrix(polys[0], adj), np.eye(g.n), atol=1e-8)
     for i in (1, 2):
@@ -251,39 +263,86 @@ def test_adjacency_polys_petersen():
 
 
 def test_adjacency_polys_complete4():
-    a = analyze(complete_graph(4))
-    polys = adjacency_distance_polys(a.system, 3)
+    polys = _adjacency_polys(analyze(complete_graph(4)), 3)
     assert np.allclose(polys[0], [1.0])
     assert np.allclose(polys[1], [0.0, 1.0], atol=1e-12)
 
 
+def _degree_stats(g):
+    deg = g.degrees().astype(float)
+    return float(deg.mean()), float((deg**2).mean())
+
+
 def test_three_eigenvalue_star():
-    rep = three_eigenvalue_diagnostic(star_graph(3))
-    assert rep.mean_degree == 1.5
-    assert rep.mean_square_degree == 3.0
-    assert np.isclose(rep.variance_gap, 0.75)
-    assert not rep.regular
-    assert rep.verdict is Verdict.NOT_DISTANCE_REGULAR
-    assert rep.spectral_verdict is Verdict.NOT_DISTANCE_REGULAR
+    # d = 2, so distance-regular exactly when regular; the star is not
+    a = analyze(star_graph(3))
+    assert a.spectrum.d == 2
+    kbar, ksq = _degree_stats(star_graph(3))
+    assert (kbar, ksq) == (1.5, 3.0)
+    assert np.isclose(ksq - kbar * kbar, 0.75)
+    assert a.report.verdict is Verdict.NOT_DISTANCE_REGULAR
 
 
 def test_three_eigenvalue_regular_cases():
     for g in (petersen_graph(), cycle_graph(4), hypercube_graph(2)):
-        rep = three_eigenvalue_diagnostic(g)
-        assert rep.regular
-        assert rep.variance_gap == pytest.approx(0.0, abs=1e-12)
-        assert rep.verdict is Verdict.DISTANCE_REGULAR
+        a = analyze(g)
+        assert a.spectrum.d == 2
+        assert len(set(g.degrees().tolist())) == 1
+        assert a.report.verdict is Verdict.DISTANCE_REGULAR
 
 
 def test_three_eigenvalue_gamma_matches_system():
+    # gamma_1 = -1 + mean(k) - mean(k^2) / mean(k)
     for g in (petersen_graph(), star_graph(3), cycle_graph(5)):
         a = analyze(g)
-        if a.spectrum.d != 2:
-            continue
-        rep = three_eigenvalue_diagnostic(g)
-        assert np.isclose(rep.gamma_1, a.system.gamma[0], atol=1e-8)
+        assert a.spectrum.d == 2
+        kbar, ksq = _degree_stats(g)
+        assert np.isclose(a.system.gamma[0], -1.0 + kbar - ksq / kbar, atol=1e-8)
 
 
-def test_three_eigenvalue_wrong_d():
-    with pytest.raises(ValueError):
-        three_eigenvalue_diagnostic(path_graph(4))
+# ---------------------------------------------------------------------------
+# Non-finite spectral quantities fail closed
+# ---------------------------------------------------------------------------
+
+def test_nan_closed_form_raises(monkeypatch):
+    monkeypatch.setattr(theorem, "spectral_excess_closed_form", lambda mu, phis, n: math.nan)
+    with pytest.raises(InternalCheckError, match="disagrees between routes"):
+        analyze(petersen_graph())
+
+
+def test_nan_spectral_excess_raises(monkeypatch):
+    poison_spectral_excess(monkeypatch)
+    with pytest.raises(InternalCheckError, match="not finite"):
+        analyze(petersen_graph())
+
+
+# ---------------------------------------------------------------------------
+# Cospectral mates
+# ---------------------------------------------------------------------------
+
+def _torus_cayley_graph(connection) -> Graph:
+    """Cayley graph on Z4 x Z4, vertex (x, y) numbered 4x + y."""
+    edges = set()
+    for x in range(4):
+        for y in range(4):
+            for dx, dy in connection:
+                u, v = 4 * x + y, 4 * ((x + dx) % 4) + (y + dy) % 4
+                edges.add((min(u, v), max(u, v)))
+    return Graph.from_edges(16, edges)
+
+
+def test_shrikhande_and_rook_graph_are_cospectral_and_distance_regular():
+    # The Shrikhande graph and the 4 x 4 rook's graph (same row or same
+    # column) are both srg(16, 6, 2, 2) and not isomorphic.
+    shrikhande = _torus_cayley_graph([(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)])
+    rook = Graph.from_edges(
+        16,
+        [(u, v) for u in range(16) for v in range(u + 1, 16) if u // 4 == v // 4 or u % 4 == v % 4],
+    )
+    assert not nx.is_isomorphic(to_networkx(shrikhande), to_networkx(rook))
+    for g in (shrikhande, rook):
+        a = analyze(g)
+        assert np.allclose(a.spectrum.thetas, [0.0, 4.0, 8.0], atol=1e-9)
+        assert a.spectrum.mults.tolist() == [1, 6, 9]
+        assert a.report.verdict is Verdict.DISTANCE_REGULAR
+        assert str(a.report.oracle) == "{6,3;1,2}"

@@ -1,0 +1,27 @@
+"""Smoke test of tools/digest.py, the byte-identity digest of the CLI."""
+
+import importlib.util
+import re
+from pathlib import Path
+
+DIGEST = Path(__file__).resolve().parents[1] / "tools" / "digest.py"
+
+
+def _load_digest():
+    spec = importlib.util.spec_from_file_location("digest", DIGEST)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_digest_of_one_spec(capsys):
+    assert _load_digest().main(["petersen"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2
+    assert re.fullmatch(r"petersen +[0-9a-f]{64}  \(4 calls\)", lines[0])
+    assert re.fullmatch(r"all +[0-9a-f]{64}", lines[1])
+
+
+def test_digest_rejects_unknown_spec(capsys):
+    assert _load_digest().main(["nosuch"]) == 64
+    assert "unknown spec" in capsys.readouterr().err

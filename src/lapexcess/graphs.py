@@ -56,7 +56,9 @@ class Graph:
                 raise EdgeListError(
                     f"edge {e} is not a normalized pair inside [0, {self.n})"
                 )
-        if not _is_connected(self.n, self.edges):
+        # fewer than n - 1 edges cannot connect n vertices; checking that
+        # first keeps a huge declared n from costing O(n) memory
+        if len(self.edges) < self.n - 1 or not _is_connected(self.n, self.edges):
             raise DisconnectedGraphError(
                 f"graph on {self.n} vertices with {len(self.edges)} edges "
                 "is not connected"

@@ -1,6 +1,6 @@
 """Rendering an Analysis as JSON or human-readable text.
 
-The JSON document is versioned ("schema": 1) and must round-trip floats
+The JSON document is versioned ("schema": 2) and must round-trip floats
 losslessly, so every real number is written with 17 significant digits;
 the standard json module does not expose float formatting, hence the small
 emitter here.  The text form is a compact report whose centerpiece is the
@@ -16,7 +16,7 @@ import numpy as np
 
 from .theorem import Analysis, IntersectionArray, OracleRefusal
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 # ---------------------------------------------------------------------------
@@ -168,16 +168,12 @@ def build_document(analysis: Analysis) -> dict:
             analysis.raw_eigenvalues, analysis.spectrum, analysis.phis
         ),
         "predistance": {
-            "polynomials": [_floats(p) for p in sys.polys],
             "alpha": _floats(sys.alpha),
             "beta": _floats(sys.beta),
             "gamma": _floats(sys.gamma),
             "values_at_zero": [float(p[0]) for p in sys.polys],
         },
-        "hoffman": {
-            "coefficients": _floats(analysis.hoffman),
-            "max_residual": float(analysis.hoffman_residual),
-        },
+        "hoffman": {"max_residual": float(analysis.hoffman_residual)},
         "excess": {
             "d": rep.d,
             "diameter": rep.diameter,
@@ -227,7 +223,7 @@ def recurrence_table(analysis: Analysis) -> str:
 
 def render_text(analysis: Analysis) -> str:
     """Human-readable report: graph summary, spectrum, recurrence table,
-    polynomials, excess comparison, oracle, verdict."""
+    excess comparison, oracle, verdict."""
     g = analysis.graph
     s = analysis.spectrum
     rep = analysis.report
@@ -246,15 +242,11 @@ def render_text(analysis: Analysis) -> str:
     lines.append("recurrence coefficients:")
     lines.append(_indent(recurrence_table(analysis)))
     lines.append("")
-    lines.append("predistance polynomials (ascending coefficients):")
-    for i, p in enumerate(analysis.system.polys):
-        lines.append(f"  r_{i}: " + "  ".join(_fmt(c) for c in p))
-    lines.append("")
     lines.append(
         f"hoffman polynomial residual max|H(L) - J| = {_fmt(analysis.hoffman_residual)}"
     )
     lines.append(
-        f"spectral excess r_d(0): {_fmt(rep.spectral_excess)} by evaluation, "
+        f"spectral excess r_d(0): {_fmt(rep.spectral_excess)} by normalization, "
         f"{_fmt(analysis.spectral_excess_closed)} by closed form"
     )
     lines.append(

@@ -218,18 +218,15 @@ class ExcessReport:
 
 @dataclass(frozen=True)
 class Analysis:
-    """Everything the pipeline computed for one graph, kept so reports can
-    show intermediate quantities without recomputing."""
+    """What the pipeline computed for one graph that the reports show, kept
+    so they need not recompute it."""
 
     graph: Graph
-    laplacian: np.ndarray
     raw_eigenvalues: np.ndarray
     spectrum: DistinctSpectrum
-    measure: SpectralMeasure
     system: PredistanceSystem
     phis: np.ndarray
     spectral_excess_closed: float
-    hoffman: np.ndarray
     hoffman_residual: float
     distances: DistanceData
     oracle: IntersectionArray | OracleRefusal | None
@@ -342,14 +339,11 @@ def analyze(
     )
     return Analysis(
         graph=g,
-        laplacian=lap,
         raw_eigenvalues=raw,
         spectrum=spectrum,
-        measure=measure,
         system=system,
         phis=phis,
         spectral_excess_closed=closed,
-        hoffman=hoffman,
         hoffman_residual=hoffman_residual,
         distances=dd,
         oracle=oracle,

@@ -173,7 +173,9 @@ def test_analyze_stdin(monkeypatch, capsys):
 def test_analyze_json_output(capsys):
     assert main(["analyze", "--gen", "petersen", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["schema"] == 1
+    assert doc["schema"] == 2
+    assert "polynomials" not in doc["predistance"]
+    assert "coefficients" not in doc["hoffman"]
     assert doc["excess"]["verdict"] == "distance_regular"
     assert doc["oracle"]["intersection_array"]["b"] == [3, 2]
 

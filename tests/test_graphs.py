@@ -4,6 +4,8 @@ Distances and matrices are cross-checked against networkx, which plays no
 part in the package itself.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from helpers import adjacency, random_connected_graph, to_networkx
@@ -105,6 +107,19 @@ def test_parse_header_comments_blanks_duplicates():
 def test_parse_header_allows_larger_n():
     with pytest.raises(DisconnectedGraphError):
         parse_edge_list("n 4\n0 1\n1 2\n")
+
+
+def test_too_few_edges_rejected_without_per_vertex_memory():
+    # one edge cannot connect a million vertices; that is decided before
+    # any per-vertex structure is built
+    tracemalloc.start()
+    try:
+        with pytest.raises(DisconnectedGraphError, match="1000000 vertices with 1 edges"):
+            parse_edge_list("n 1000000\n0 1\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize(

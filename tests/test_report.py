@@ -120,11 +120,41 @@ def test_dumps_string_escaping():
 # Documents
 # ---------------------------------------------------------------------------
 
+SCHEMA_2_SECTIONS = {
+    "tool": {"name", "version"},
+    "tolerances": {"eigenvalue_cluster", "equality"},
+    "graph": {
+        "n", "edge_count", "regular", "degree_min", "degree_max",
+        "degree_mean", "degree_mean_square",
+    },
+    "spectrum": {"raw", "distinct", "multiplicities", "d", "min_gap", "phi"},
+    "predistance": {"alpha", "beta", "gamma", "values_at_zero"},
+    "hoffman": {"max_residual"},
+    "excess": {
+        "d", "diameter", "average", "spectral", "spectral_closed_form", "per_vertex",
+        "equality_gap", "relative_gap", "identity_residuals", "verdict",
+    },
+    "oracle": {"ran", "distance_regular", "intersection_array"},
+}
+
+
+def _json_numbers(x) -> int:
+    if isinstance(x, dict):
+        return sum(_json_numbers(v) for v in x.values())
+    if isinstance(x, list):
+        return sum(_json_numbers(v) for v in x)
+    return int(type(x) in (int, float))
+
+
 def test_document_structure_and_fidelity():
     analysis = analyze(petersen_graph())
     doc = build_document(analysis)
     parsed = json.loads(dumps(doc))
-    assert parsed["schema"] == 1
+    assert parsed["schema"] == 2
+    assert parsed.keys() == {"schema", *SCHEMA_2_SECTIONS}
+    for section, keys in SCHEMA_2_SECTIONS.items():
+        assert parsed[section].keys() == keys, section
+    assert parsed["oracle"]["intersection_array"].keys() == {"b", "c", "a", "notation"}
     assert parsed["graph"]["n"] == 10
     assert parsed["graph"]["regular"] is True
     assert parsed["spectrum"]["distinct"] == pytest.approx([0.0, 2.0, 5.0], abs=1e-9)
@@ -136,6 +166,17 @@ def test_document_structure_and_fidelity():
     # every float survives the trip bit for bit
     assert parsed["excess"]["relative_gap"] == analysis.report.relative_gap
     assert parsed["hoffman"]["max_residual"] == analysis.hoffman_residual
+    assert parsed["predistance"]["values_at_zero"] == [float(p[0]) for p in analysis.system.polys]
+
+
+def test_document_size_is_linear_in_n_and_d():
+    # schema 2 carries the recurrence, not the (d+1)(d+2)/2 monomial
+    # coefficients of r_0..r_d: the bound allows three lists of length n and
+    # eight of length d + 1
+    n = 40
+    analysis = analyze(path_graph(n))
+    d = analysis.spectrum.d
+    assert _json_numbers(json.loads(dumps(build_document(analysis)))) <= 3 * n + 8 * (d + 1)
 
 
 def test_document_refusal_branch():
@@ -163,11 +204,12 @@ def test_render_text_sections():
         "alpha_i",
         "gamma_i",
         "verdict: not_distance_regular",
-        "spectral excess",
+        "spectral excess r_d(0): 0.8 by normalization, 0.8 by closed form",
         "average excess",
-        "r_3:",
     ):
         assert needle in text
+    assert "r_0:" not in text
+    assert "predistance polynomials" not in text
 
 
 def test_recurrence_table_rows():

@@ -346,3 +346,52 @@ def test_shrikhande_and_rook_graph_are_cospectral_and_distance_regular():
         assert a.spectrum.mults.tolist() == [1, 6, 9]
         assert a.report.verdict is Verdict.DISTANCE_REGULAR
         assert str(a.report.oracle) == "{6,3;1,2}"
+
+
+def test_hoffman_graph_is_cospectral_with_q4_but_not_distance_regular():
+    # Godsil-McKay switching of Q4 on C = {0, 3, 5, 9}: every vertex outside
+    # C with exactly two neighbours in C swaps its edges to C for non-edges.
+    # The result is the Hoffman graph, 4-regular and Laplacian-cospectral
+    # with Q4; the spectral excess is the same and only the average differs.
+    q4 = hypercube_graph(4)
+    switch = {0, 3, 5, 9}
+    edges = set(q4.edges)
+    for v in range(q4.n):
+        if v in switch:
+            continue
+        into = {c for c in switch if (min(v, c), max(v, c)) in q4.edges}
+        if len(into) == 2:
+            edges ^= {(min(v, c), max(v, c)) for c in switch}
+    hoffman = Graph(q4.n, frozenset(edges))
+    assert hoffman.edge_count == 32
+    assert set(hoffman.degrees().tolist()) == {4}
+    h = to_networkx(hoffman)
+    assert not nx.is_isomorphic(h, to_networkx(q4))
+    assert sum(1 for _ in nx.vf2pp_all_isomorphisms(h, h)) == 48
+
+    a, q = analyze(hoffman), analyze(q4)
+    for spectrum in (a.spectrum, q.spectrum):
+        assert np.allclose(spectrum.thetas, [0.0, 2.0, 4.0, 6.0, 8.0], atol=1e-9)
+        assert spectrum.mults.tolist() == [1, 4, 6, 4, 1]
+    assert a.report.spectral_excess == pytest.approx(1.0, abs=1e-9)
+    assert a.report.average_excess == 0.5
+    assert a.report.verdict is Verdict.NOT_DISTANCE_REGULAR
+    assert isinstance(a.oracle, OracleRefusal)
+    assert a.oracle.reason.startswith("c_2 ")
+    assert q.report.verdict is Verdict.DISTANCE_REGULAR
+    assert str(q.oracle) == "{4,3,2,1;1,2,3,4}"
+
+
+# ---------------------------------------------------------------------------
+# Differential test against networkx
+# ---------------------------------------------------------------------------
+
+def test_verdicts_and_arrays_match_networkx(analyzed_corpus):
+    """The verdict is distance_regular exactly where networkx says so, and
+    the oracle's array is networkx's, on the atlas and the named families."""
+    for name, g, a in analyzed_corpus:
+        h = to_networkx(g)
+        drg = nx.is_distance_regular(h)
+        assert (a.report.verdict is Verdict.DISTANCE_REGULAR) == drg, name
+        if drg:
+            assert (list(a.oracle.b), list(a.oracle.c)) == nx.intersection_array(h), name

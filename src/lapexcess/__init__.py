@@ -6,8 +6,8 @@ spectral measure, and compare the spectral excess r_d(0) with the average
 number of vertices at distance d.  The two agree exactly when the graph is
 distance-regular, and the average never exceeds the spectral value.
 
-Entry points: :func:`analyze`, whose ``report`` field holds the verdict,
-and the ``lapexcess`` command line tool.
+Entry points: :func:`analyze`, whose :class:`Analysis` result holds the
+verdict, and the ``lapexcess`` command line tool.
 """
 
 __version__ = "0.1.0"
@@ -54,7 +54,6 @@ from .orthopoly import (
 from .theorem import (
     DEFAULT_EQUALITY_TOL,
     Analysis,
-    ExcessReport,
     InternalCheckError,
     IntersectionArray,
     MisclusteredSpectrumError,
@@ -76,7 +75,6 @@ __all__ = [
     "DistinctSpectrum",
     "EdgeListError",
     "EigenConvergenceError",
-    "ExcessReport",
     "FAMILIES",
     "GeneratorError",
     "Graph",

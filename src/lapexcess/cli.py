@@ -212,14 +212,15 @@ def _load_graph(args) -> Graph:
         return generate(family, params)
     if args.input is None:
         raise _UsageError("no input: give an edge-list path, '-' for stdin, or --gen")
-    if args.input == "-":
-        text = sys.stdin.read()
-    else:
-        try:
+    try:
+        if args.input == "-":
+            text = sys.stdin.read()
+        else:
             with open(args.input, encoding="utf-8") as handle:
                 text = handle.read()
-        except OSError as exc:
-            raise EdgeListError(f"cannot read {args.input}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        source = "stdin" if args.input == "-" else args.input
+        raise EdgeListError(f"cannot read {source}: {exc}") from exc
     return parse_edge_list(text)
 
 
@@ -239,7 +240,7 @@ def _cmd_analyze(args) -> int:
         sys.stdout.write(dumps(build_document(analysis)) + "\n")
     else:
         sys.stdout.write(render_text(analysis))
-    return _VERDICT_EXIT[analysis.report.verdict]
+    return _VERDICT_EXIT[analysis.verdict]
 
 
 def _cmd_spectrum(args) -> int:

@@ -1,8 +1,8 @@
 """Discrete orthogonal polynomials on the Laplacian spectrum.
 
-Polynomials are dense real coefficient arrays in ascending degree order with
-trailing zeros trimmed; the zero polynomial is the empty array.  The measure
-places weight m_i/n on each distinct Laplacian eigenvalue theta_i, defining
+Polynomials are dense real coefficient arrays in ascending degree order,
+the leading coefficient last.  The measure places weight m_i/n on each
+distinct Laplacian eigenvalue theta_i, defining
 
     <p, q> = sum_i w_i p(theta_i) q(theta_i).
 
@@ -49,17 +49,8 @@ class OrthopolyBreakdownError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Polynomial helpers (coefficients ascending, zero polynomial = empty array)
+# Polynomial evaluation (coefficients ascending)
 # ---------------------------------------------------------------------------
-
-def trim(coeffs) -> np.ndarray:
-    """Drop trailing zero coefficients; the zero polynomial becomes empty."""
-    c = np.asarray(coeffs, dtype=float)
-    nz = np.nonzero(c)[0]
-    if len(nz) == 0:
-        return np.zeros(0)
-    return c[: nz[-1] + 1].copy()
-
 
 def eval_matrix(p, m: np.ndarray) -> np.ndarray:
     """Horner evaluation at a square symmetric matrix.
@@ -205,7 +196,7 @@ def hoffman_polynomial(mu: SpectralMeasure, n: int) -> np.ndarray:
         # h (x - theta): coefficient k becomes h[k-1] - theta h[k]
         h = [-theta * h[0]] + [a - theta * b for a, b in zip(h, h[1:])] + [h[-1]]
         phi0 *= -theta
-    return trim(n / phi0 * np.array(h))
+    return n / phi0 * np.array(h)
 
 
 def spectral_excess_closed_form(mu: SpectralMeasure, phis: np.ndarray, n: int) -> float:

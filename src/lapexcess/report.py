@@ -147,7 +147,9 @@ def build_document(analysis: Analysis) -> dict:
     degrees = g.degrees()
     dmin, dmax = int(degrees.min()), int(degrees.max())
     sys = analysis.system
-    rep = analysis.report
+    d, dd = analysis.spectrum.d, analysis.distances
+    # no vertex has anything at a distance d past the diameter
+    per_vertex = dd.excess_counts[d] if d <= dd.diameter else [0] * g.n
     return {
         "schema": SCHEMA_VERSION,
         "tool": {"name": "lapexcess", "version": __version__},
@@ -175,16 +177,16 @@ def build_document(analysis: Analysis) -> dict:
         },
         "hoffman": {"max_residual": float(analysis.hoffman_residual)},
         "excess": {
-            "d": rep.d,
-            "diameter": rep.diameter,
-            "average": float(rep.average_excess),
-            "spectral": float(rep.spectral_excess),
+            "d": d,
+            "diameter": dd.diameter,
+            "average": float(analysis.average_excess),
+            "spectral": float(analysis.spectral_excess),
             "spectral_closed_form": float(analysis.spectral_excess_closed),
-            "per_vertex": _ints(rep.per_vertex_excess),
-            "equality_gap": float(rep.equality_gap),
-            "relative_gap": float(rep.relative_gap),
-            "identity_residuals": _floats(rep.identity_residuals),
-            "verdict": rep.verdict.value,
+            "per_vertex": _ints(per_vertex),
+            "equality_gap": float(analysis.spectral_excess - analysis.average_excess),
+            "relative_gap": float(analysis.relative_gap),
+            "identity_residuals": _floats(analysis.identity_residuals),
+            "verdict": analysis.verdict.value,
         },
         "oracle": _oracle_document(analysis),
     }
@@ -226,7 +228,6 @@ def render_text(analysis: Analysis) -> str:
     excess comparison, oracle, verdict."""
     g = analysis.graph
     s = analysis.spectrum
-    rep = analysis.report
     degrees = g.degrees()
     dmin, dmax = int(degrees.min()), int(degrees.max())
     regular = f"regular of degree {dmin}" if dmin == dmax else (
@@ -246,18 +247,19 @@ def render_text(analysis: Analysis) -> str:
         f"hoffman polynomial residual max|H(L) - J| = {_fmt(analysis.hoffman_residual)}"
     )
     lines.append(
-        f"spectral excess r_d(0): {_fmt(rep.spectral_excess)} by normalization, "
+        f"spectral excess r_d(0): {_fmt(analysis.spectral_excess)} by normalization, "
         f"{_fmt(analysis.spectral_excess_closed)} by closed form"
     )
     lines.append(
-        f"average excess (diameter {rep.diameter}): {_fmt(rep.average_excess)}"
+        f"average excess (diameter {analysis.distances.diameter}): "
+        f"{_fmt(analysis.average_excess)}"
     )
     lines.append(
-        f"equality gap: {_fmt(rep.equality_gap)} "
-        f"(relative {_fmt(rep.relative_gap)}, tolerance {_fmt(analysis.tol_eq)})"
+        f"equality gap: {_fmt(analysis.spectral_excess - analysis.average_excess)} "
+        f"(relative {_fmt(analysis.relative_gap)}, tolerance {_fmt(analysis.tol_eq)})"
     )
     lines.append("oracle: " + _oracle_line(analysis.oracle))
-    lines.append(f"verdict: {rep.verdict.value}")
+    lines.append(f"verdict: {analysis.verdict.value}")
     return "\n".join(lines) + "\n"
 
 

@@ -201,25 +201,10 @@ def average_excess(dd: DistanceData, d: int) -> float:
 
 
 @dataclass(frozen=True)
-class ExcessReport:
-    """Outcome of the excess comparison for one graph."""
-
-    d: int
-    diameter: int
-    average_excess: float
-    spectral_excess: float
-    per_vertex_excess: np.ndarray
-    verdict: Verdict
-    equality_gap: float
-    relative_gap: float
-    identity_residuals: np.ndarray
-    oracle: IntersectionArray | None
-
-
-@dataclass(frozen=True)
 class Analysis:
-    """What the pipeline computed for one graph that the reports show, kept
-    so they need not recompute it."""
+    """What the pipeline computed for one graph: the verdict with the two
+    excesses it compares, and everything the reports show, kept so they
+    need not recompute it."""
 
     graph: Graph
     raw_eigenvalues: np.ndarray
@@ -229,8 +214,12 @@ class Analysis:
     spectral_excess_closed: float
     hoffman_residual: float
     distances: DistanceData
+    spectral_excess: float
+    average_excess: float
+    relative_gap: float
+    verdict: Verdict
+    identity_residuals: np.ndarray
     oracle: IntersectionArray | OracleRefusal | None
-    report: ExcessReport
     tol_eig: float
     tol_eq: float
 
@@ -281,13 +270,7 @@ def analyze(
 
     dd = distance_data(g)
     kbar = average_excess(dd, d)
-    if d <= dd.diameter:
-        per_vertex = dd.excess_counts[d].copy()
-    else:
-        per_vertex = np.zeros(g.n, dtype=int)
-
-    gap = r_d0 - kbar
-    rel = gap / r_d0
+    rel = (r_d0 - kbar) / r_d0
     if not math.isfinite(rel):
         raise InternalCheckError(
             f"relative gap is not finite: ({r_d0!r} - {kbar!r}) / {r_d0!r} = {rel!r}"
@@ -325,18 +308,6 @@ def analyze(
                 f"combinatorial oracle found intersection array {oracle}"
             )
 
-    report = ExcessReport(
-        d=d,
-        diameter=dd.diameter,
-        average_excess=kbar,
-        spectral_excess=r_d0,
-        per_vertex_excess=per_vertex,
-        verdict=verdict,
-        equality_gap=gap,
-        relative_gap=rel,
-        identity_residuals=residuals,
-        oracle=oracle if isinstance(oracle, IntersectionArray) else None,
-    )
     return Analysis(
         graph=g,
         raw_eigenvalues=raw,
@@ -346,8 +317,12 @@ def analyze(
         spectral_excess_closed=closed,
         hoffman_residual=hoffman_residual,
         distances=dd,
+        spectral_excess=r_d0,
+        average_excess=kbar,
+        relative_gap=rel,
+        verdict=verdict,
+        identity_residuals=residuals,
         oracle=oracle,
-        report=report,
         tol_eig=tol_eig,
         tol_eq=tol_eq,
     )

@@ -7,7 +7,15 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from lapexcess import DistinctSpectrum, Graph, PredistanceSystem, phi_products, theorem
-from lapexcess.orthopoly import trim
+
+
+def trim(coeffs) -> np.ndarray:
+    """Drop trailing zero coefficients; the zero polynomial becomes empty."""
+    c = np.asarray(coeffs, dtype=float)
+    nz = np.nonzero(c)[0]
+    if len(nz) == 0:
+        return np.zeros(0)
+    return c[: nz[-1] + 1].copy()
 
 
 def random_connected_graph(rng, n: int, extra_edges: int = 0) -> Graph:
@@ -29,6 +37,12 @@ def random_connected_graph(rng, n: int, extra_edges: int = 0) -> Graph:
             edges.add(e)
             remaining -= 1
     return Graph.from_edges(n, edges)
+
+
+def paw_graph() -> Graph:
+    """Triangle with a pendant vertex: diameter 2 but four distinct
+    Laplacian eigenvalues, so d exceeds the diameter."""
+    return Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
 
 
 def permute_graph(g: Graph, perm) -> Graph:

@@ -73,13 +73,13 @@ def test_criterion_03_p4_polynomials():
 def test_criterion_04_p4_theorem_quantities():
     a = analyze(path_graph(4))
     ok = (
-        abs(a.report.spectral_excess - 0.8) <= TABLE_TOL
+        abs(a.spectral_excess - 0.8) <= TABLE_TOL
         and abs(a.spectral_excess_closed - 0.8) <= TABLE_TOL
-        and a.report.average_excess == 0.5
-        and a.report.verdict is Verdict.NOT_DISTANCE_REGULAR
+        and a.average_excess == 0.5
+        and a.verdict is Verdict.NOT_DISTANCE_REGULAR
     )
     _report(ok, "criterion 4: P4 gives r_3(0) = 4/5 both ways, average 1/2, not DR",
-            f"spectral {a.report.spectral_excess:.12g}, average {a.report.average_excess}")
+            f"spectral {a.spectral_excess:.12g}, average {a.average_excess}")
 
 
 def test_criterion_05_hoffman_identity_corpus(atlas_corpus, analyzed_corpus):
@@ -98,11 +98,11 @@ def test_criterion_06_soundness_completeness(analyzed_corpus):
     worst_non = math.inf
     for name, g, a in analyzed_corpus:
         is_drg = isinstance(a.oracle, IntersectionArray)
-        verdict = a.report.verdict
+        verdict = a.verdict
         expected = Verdict.DISTANCE_REGULAR if is_drg else Verdict.NOT_DISTANCE_REGULAR
         if verdict is not expected:
             bad.append(name)
-        rel = a.report.relative_gap
+        rel = a.relative_gap
         if is_drg:
             worst_drg = max(worst_drg, abs(rel))
         else:
@@ -115,7 +115,7 @@ def test_criterion_06_soundness_completeness(analyzed_corpus):
 
 def test_criterion_07_average_never_exceeds_spectral(analyzed_corpus):
     worst = max(
-        a.report.average_excess - a.report.spectral_excess * (1.0 + EQ_TOL)
+        a.average_excess - a.spectral_excess * (1.0 + EQ_TOL)
         for _, _, a in analyzed_corpus
     )
     _report(worst <= 0.0,
@@ -163,7 +163,7 @@ def test_criterion_10_three_eigenvalue_equivalence(analyzed_corpus):
         if a.spectrum.d != 2:
             continue
         checked += 1
-        is_dr = a.report.verdict is Verdict.DISTANCE_REGULAR
+        is_dr = a.verdict is Verdict.DISTANCE_REGULAR
         if is_dr != (len(set(g.degrees().tolist())) == 1):
             bad.append(name)
     ok = checked > 0 and not bad
@@ -174,14 +174,13 @@ def test_criterion_10_three_eigenvalue_equivalence(analyzed_corpus):
 
 def test_criterion_11_petersen_end_to_end():
     a = analyze(petersen_graph())
-    rep = a.report
-    residual = float(np.max(rep.identity_residuals))
+    residual = float(np.max(a.identity_residuals))
     ok = (
-        abs(rep.spectral_excess - 6.0) <= TABLE_TOL
-        and abs(rep.average_excess - 6.0) <= TABLE_TOL
-        and rep.verdict is Verdict.DISTANCE_REGULAR
-        and rep.oracle is not None
-        and str(rep.oracle) == "{3,2;1,1}"
+        abs(a.spectral_excess - 6.0) <= TABLE_TOL
+        and abs(a.average_excess - 6.0) <= TABLE_TOL
+        and a.verdict is Verdict.DISTANCE_REGULAR
+        and a.oracle is not None
+        and str(a.oracle) == "{3,2;1,1}"
         and residual <= TABLE_TOL
     )
     _report(ok,

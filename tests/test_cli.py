@@ -7,6 +7,7 @@ subprocesses to exercise the installed entry point end to end.
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -57,6 +58,24 @@ def test_argparse_failures_exit_64(capsys):
 def test_missing_file_exits_64(tmp_path, capsys):
     assert main(["analyze", str(tmp_path / "absent.txt")]) == 64
     capsys.readouterr()
+
+
+def test_non_utf8_file_exits_64(tmp_path, capsys):
+    target = tmp_path / "latin1.txt"
+    target.write_bytes(b"0 1\n1 \xff2\n")
+    assert main(["analyze", str(target)]) == 64
+    assert "cannot read" in capsys.readouterr().err
+
+
+def test_non_utf8_stdin_exits_64():
+    proc = subprocess.run(
+        [sys.executable, "-m", "lapexcess", "analyze", "-"],
+        input=b"0 1\n1 \xff2\n",
+        capture_output=True,
+        env={**os.environ, "PYTHONIOENCODING": "utf-8:strict"},
+    )
+    assert proc.returncode == 64, proc.stderr
+    assert b"cannot read stdin" in proc.stderr
 
 
 def test_disconnected_exits_65(tmp_path, capsys):

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from helpers import paw_graph
 
 from lapexcess import analyze, format_float, path_graph, petersen_graph
 from lapexcess.report import build_document, dumps, recurrence_table, render_text
@@ -160,11 +161,11 @@ def test_document_structure_and_fidelity():
     assert parsed["spectrum"]["distinct"] == pytest.approx([0.0, 2.0, 5.0], abs=1e-9)
     assert parsed["spectrum"]["multiplicities"] == [1, 5, 4]
     assert parsed["excess"]["verdict"] == "distance_regular"
-    assert parsed["excess"]["spectral"] == analysis.report.spectral_excess
-    assert parsed["excess"]["average"] == analysis.report.average_excess
+    assert parsed["excess"]["spectral"] == analysis.spectral_excess
+    assert parsed["excess"]["average"] == analysis.average_excess
     assert parsed["oracle"]["intersection_array"]["notation"] == "{3,2;1,1}"
     # every float survives the trip bit for bit
-    assert parsed["excess"]["relative_gap"] == analysis.report.relative_gap
+    assert parsed["excess"]["relative_gap"] == analysis.relative_gap
     assert parsed["hoffman"]["max_residual"] == analysis.hoffman_residual
     assert parsed["predistance"]["values_at_zero"] == [float(p[0]) for p in analysis.system.polys]
 
@@ -177,6 +178,19 @@ def test_document_size_is_linear_in_n_and_d():
     analysis = analyze(path_graph(n))
     d = analysis.spectrum.d
     assert _json_numbers(json.loads(dumps(build_document(analysis)))) <= 3 * n + 8 * (d + 1)
+
+
+def test_document_equality_gap_is_the_difference(analyzed_corpus):
+    for name, _, a in analyzed_corpus:
+        excess = build_document(a)["excess"]
+        assert excess["equality_gap"] == excess["spectral"] - excess["average"], name
+
+
+def test_document_per_vertex_past_the_diameter():
+    # no vertex has anything at distance d when d exceeds the diameter
+    excess = build_document(analyze(paw_graph()))["excess"]
+    assert (excess["d"], excess["diameter"]) == (3, 2)
+    assert excess["per_vertex"] == [0, 0, 0, 0]
 
 
 def test_document_refusal_branch():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from helpers import (
     adjacency,
+    paw_graph,
     permute_graph,
     poison_spectral_excess,
     random_connected_graph,
@@ -22,6 +23,7 @@ from lapexcess import (
     Verdict,
     analyze,
     average_excess,
+    build_document,
     complete_graph,
     cycle_graph,
     distance_data,
@@ -44,12 +46,6 @@ def prism_graph() -> Graph:
     return Graph.from_edges(
         6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]
     )
-
-
-def paw_graph() -> Graph:
-    """Triangle with a pendant vertex: diameter 2 but four distinct
-    Laplacian eigenvalues, so d exceeds the diameter."""
-    return Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
 
 
 # ---------------------------------------------------------------------------
@@ -135,27 +131,27 @@ def test_intersection_array_validation():
 # ---------------------------------------------------------------------------
 
 def test_petersen_report():
-    rep = analyze(petersen_graph()).report
+    rep = analyze(petersen_graph())
     assert rep.verdict is Verdict.DISTANCE_REGULAR
-    assert rep.d == 2
-    assert rep.diameter == 2
+    assert rep.spectrum.d == 2
+    assert rep.distances.diameter == 2
     assert np.isclose(rep.spectral_excess, 6.0, atol=1e-9)
     assert rep.average_excess == 6.0
-    assert np.all(rep.per_vertex_excess == 6)
+    assert np.all(rep.distances.excess_counts[2] == 6)
     assert np.max(rep.identity_residuals) <= 1e-8
     assert rep.oracle is not None
     assert rep.oracle.b == (3, 2)
 
 
 def test_star_not_distance_regular():
-    rep = analyze(star_graph(3)).report
+    rep = analyze(star_graph(3))
     assert rep.verdict is Verdict.NOT_DISTANCE_REGULAR
     assert rep.average_excess < rep.spectral_excess
-    assert rep.oracle is None
+    assert isinstance(rep.oracle, OracleRefusal)
 
 
 def test_path4_quantities():
-    rep = analyze(path_graph(4)).report
+    rep = analyze(path_graph(4))
     assert rep.verdict is Verdict.NOT_DISTANCE_REGULAR
     assert np.isclose(rep.spectral_excess, 0.8, atol=1e-9)
     assert rep.average_excess == 0.5
@@ -163,9 +159,9 @@ def test_path4_quantities():
 
 
 def test_single_vertex_is_distance_regular():
-    rep = analyze(Graph(1)).report
+    rep = analyze(Graph(1))
     assert rep.verdict is Verdict.DISTANCE_REGULAR
-    assert rep.d == 0
+    assert rep.spectrum.d == 0
     assert rep.spectral_excess == 1.0
     assert rep.average_excess == 1.0
 
@@ -173,26 +169,27 @@ def test_single_vertex_is_distance_regular():
 def test_paw_has_d_beyond_diameter():
     a = analyze(paw_graph())
     assert a.spectrum.d == 3
-    assert a.report.diameter == 2
-    assert a.report.average_excess == 0.0
-    assert np.all(a.report.per_vertex_excess == 0)
-    assert a.report.verdict is Verdict.NOT_DISTANCE_REGULAR
+    assert a.distances.diameter == 2
+    assert a.average_excess == 0.0
+    assert build_document(a)["excess"]["per_vertex"] == [0, 0, 0, 0]
+    assert a.verdict is Verdict.NOT_DISTANCE_REGULAR
 
 
 def test_report_average_matches_per_vertex_mean():
     for g in (petersen_graph(), path_graph(5), prism_graph()):
-        rep = analyze(g).report
-        assert rep.average_excess == pytest.approx(float(np.mean(rep.per_vertex_excess)))
+        rep = analyze(g)
+        per_vertex = build_document(rep)["excess"]["per_vertex"]
+        assert rep.average_excess == pytest.approx(float(np.mean(per_vertex)))
 
 
 def test_relabeling_invariance():
     rng = np.random.default_rng(314)
     base = [petersen_graph(), prism_graph(), random_connected_graph(rng, 9, 5)]
     for g in base:
-        ref = analyze(g).report
+        ref = analyze(g)
         for _ in range(3):
             perm = rng.permutation(g.n)
-            rep = analyze(permute_graph(g, perm)).report
+            rep = analyze(permute_graph(g, perm))
             assert rep.verdict is ref.verdict
             assert np.isclose(rep.average_excess, ref.average_excess, atol=1e-12)
             assert np.isclose(rep.spectral_excess, ref.spectral_excess, atol=1e-9)
@@ -201,8 +198,7 @@ def test_relabeling_invariance():
 def test_no_oracle_flag():
     a = analyze(petersen_graph(), run_oracle=False)
     assert a.oracle is None
-    assert a.report.oracle is None
-    assert a.report.verdict is Verdict.DISTANCE_REGULAR
+    assert a.verdict is Verdict.DISTANCE_REGULAR
 
 
 def test_oracle_size_cap(monkeypatch):
@@ -214,7 +210,7 @@ def test_oracle_size_cap(monkeypatch):
 def test_gray_zone_is_inconclusive():
     # path(4) has relative gap 0.375; a tolerance of 0.1 puts it between
     # tol and 10*tol
-    rep = analyze(path_graph(4), tol_eq=0.1, run_oracle=False).report
+    rep = analyze(path_graph(4), tol_eq=0.1, run_oracle=False)
     assert rep.verdict is Verdict.INCONCLUSIVE
 
 
@@ -223,7 +219,7 @@ def test_sloppy_tolerance_trips_oracle_audit():
     # disagrees and the pipeline must refuse to return the report
     with pytest.raises(InternalCheckError):
         analyze(path_graph(4), tol_eq=0.5)
-    rep = analyze(path_graph(4), tol_eq=0.5, run_oracle=False).report
+    rep = analyze(path_graph(4), tol_eq=0.5, run_oracle=False)
     assert rep.verdict is Verdict.DISTANCE_REGULAR  # unaudited, by request
 
 
@@ -232,13 +228,13 @@ def test_corpus_structural_invariants(analyzed_corpus):
     average is the mean of the per-vertex counts, and a clean residual for
     r_d cascades down to every lower index."""
     for name, g, a in analyzed_corpus:
-        rep = a.report
-        assert rep.diameter <= rep.d, name
-        assert rep.average_excess == pytest.approx(
-            float(np.mean(rep.per_vertex_excess))
+        d = a.spectrum.d
+        assert a.distances.diameter <= d, name
+        assert a.average_excess == pytest.approx(
+            float(np.mean(build_document(a)["excess"]["per_vertex"]))
         ), name
-        if rep.identity_residuals[rep.d] <= 1e-6:
-            assert np.max(rep.identity_residuals) <= 1e-6, name
+        if a.identity_residuals[d] <= 1e-6:
+            assert np.max(a.identity_residuals) <= 1e-6, name
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +276,7 @@ def test_three_eigenvalue_star():
     kbar, ksq = _degree_stats(star_graph(3))
     assert (kbar, ksq) == (1.5, 3.0)
     assert np.isclose(ksq - kbar * kbar, 0.75)
-    assert a.report.verdict is Verdict.NOT_DISTANCE_REGULAR
+    assert a.verdict is Verdict.NOT_DISTANCE_REGULAR
 
 
 def test_three_eigenvalue_regular_cases():
@@ -288,7 +284,7 @@ def test_three_eigenvalue_regular_cases():
         a = analyze(g)
         assert a.spectrum.d == 2
         assert len(set(g.degrees().tolist())) == 1
-        assert a.report.verdict is Verdict.DISTANCE_REGULAR
+        assert a.verdict is Verdict.DISTANCE_REGULAR
 
 
 def test_three_eigenvalue_gamma_matches_system():
@@ -344,8 +340,8 @@ def test_shrikhande_and_rook_graph_are_cospectral_and_distance_regular():
         a = analyze(g)
         assert np.allclose(a.spectrum.thetas, [0.0, 4.0, 8.0], atol=1e-9)
         assert a.spectrum.mults.tolist() == [1, 6, 9]
-        assert a.report.verdict is Verdict.DISTANCE_REGULAR
-        assert str(a.report.oracle) == "{6,3;1,2}"
+        assert a.verdict is Verdict.DISTANCE_REGULAR
+        assert str(a.oracle) == "{6,3;1,2}"
 
 
 def test_hoffman_graph_is_cospectral_with_q4_but_not_distance_regular():
@@ -373,12 +369,12 @@ def test_hoffman_graph_is_cospectral_with_q4_but_not_distance_regular():
     for spectrum in (a.spectrum, q.spectrum):
         assert np.allclose(spectrum.thetas, [0.0, 2.0, 4.0, 6.0, 8.0], atol=1e-9)
         assert spectrum.mults.tolist() == [1, 4, 6, 4, 1]
-    assert a.report.spectral_excess == pytest.approx(1.0, abs=1e-9)
-    assert a.report.average_excess == 0.5
-    assert a.report.verdict is Verdict.NOT_DISTANCE_REGULAR
+    assert a.spectral_excess == pytest.approx(1.0, abs=1e-9)
+    assert a.average_excess == 0.5
+    assert a.verdict is Verdict.NOT_DISTANCE_REGULAR
     assert isinstance(a.oracle, OracleRefusal)
     assert a.oracle.reason.startswith("c_2 ")
-    assert q.report.verdict is Verdict.DISTANCE_REGULAR
+    assert q.verdict is Verdict.DISTANCE_REGULAR
     assert str(q.oracle) == "{4,3,2,1;1,2,3,4}"
 
 
@@ -392,6 +388,6 @@ def test_verdicts_and_arrays_match_networkx(analyzed_corpus):
     for name, g, a in analyzed_corpus:
         h = to_networkx(g)
         drg = nx.is_distance_regular(h)
-        assert (a.report.verdict is Verdict.DISTANCE_REGULAR) == drg, name
+        assert (a.verdict is Verdict.DISTANCE_REGULAR) == drg, name
         if drg:
             assert (list(a.oracle.b), list(a.oracle.c)) == nx.intersection_array(h), name

@@ -22,6 +22,17 @@ def test_digest_of_one_spec(capsys):
     assert re.fullmatch(r"all +[0-9a-f]{64}", lines[1])
 
 
+def test_digest_pins_the_bytes(capsys):
+    # A change to these digests is a change to the CLI's output bytes on
+    # petersen or hypercube:6, which must be called out, not absorbed.
+    assert _load_digest().main(["petersen", "hypercube:6"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == [
+        "petersen     09df32c704f4b1d394a8d6a060ca6ee5c275e5268a74b5e22ffba1af85d4eccc  (4 calls)",
+        "hypercube:6  45094e9c86751825d5e4deab8abc5b0a439596d694fc1863ae10c1daad834932  (4 calls)",
+    ]
+
+
 def test_digest_rejects_unknown_spec(capsys):
     assert _load_digest().main(["nosuch"]) == 64
     assert "unknown spec" in capsys.readouterr().err

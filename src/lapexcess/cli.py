@@ -93,7 +93,11 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built on the first main() call, not at import, and then reused:
+    # parse_args keeps no state between calls, and building the tree is a
+    # large share of the verdict time on a small graph.
     parser = _Parser(
         prog="lapexcess",
         description=(
@@ -173,14 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_gen.set_defaults(func=_cmd_gen)
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # Built on the first main() call, not at import, and then reused:
-    # parse_args keeps no state between calls, and building the tree is a
-    # large share of the verdict time on a small graph.
-    return build_parser()
 
 
 # ---------------------------------------------------------------------------

@@ -40,10 +40,14 @@ class Graph:
     duplicates.  Construct via :meth:`from_edges`, :func:`parse_edge_list`,
     or one of the generators; direct construction validates but does not
     normalize.
+
+    ``adj`` is derived from ``edges`` at construction: one sorted tuple of
+    neighbors per vertex.  It takes no part in equality, hashing or repr.
     """
 
     n: int
     edges: frozenset = field(default_factory=frozenset)
+    adj: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -54,15 +58,22 @@ class Graph:
                 if u == v:
                     raise EdgeListError(f"self-loop at vertex {u}")
                 raise EdgeListError(
-                    f"edge {e} is not a normalized pair inside [0, {self.n})"
+                    f"edge {e} is not a pair u < v of vertices in 0..{self.n - 1}"
                 )
         # fewer than n - 1 edges cannot connect n vertices; checking that
         # first keeps a huge declared n from costing O(n) memory
-        if len(self.edges) < self.n - 1 or not _is_connected(self.n, self.edges):
-            raise DisconnectedGraphError(
-                f"graph on {self.n} vertices with {len(self.edges)} edges "
-                "is not connected"
-            )
+        if len(self.edges) >= self.n - 1:
+            adj = [[] for _ in range(self.n)]
+            for u, v in self.edges:
+                adj[u].append(v)
+                adj[v].append(u)
+            object.__setattr__(self, "adj", tuple(tuple(sorted(a)) for a in adj))
+            if -1 not in _hop_distances(self.adj, 0):
+                return
+        raise DisconnectedGraphError(
+            f"graph on {self.n} vertices with {len(self.edges)} edges "
+            "is not connected"
+        )
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -75,10 +86,6 @@ class Graph:
         normalized = set()
         for u, v in edges:
             u, v = int(u), int(v)
-            if u == v:
-                raise EdgeListError(f"self-loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise EdgeListError(f"edge ({u}, {v}) out of range for n={n}")
             normalized.add((u, v) if u < v else (v, u))
         return cls(n, frozenset(normalized))
 
@@ -92,37 +99,22 @@ class Graph:
 
     def degrees(self) -> np.ndarray:
         """Vertex degrees as an integer array of length n."""
-        deg = [0] * self.n
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return np.array(deg, dtype=int)
-
-    def neighbor_lists(self) -> list:
-        """Sorted adjacency lists, one per vertex."""
-        adj = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        for lst in adj:
-            lst.sort()
-        return adj
+        return np.array([len(a) for a in self.adj], dtype=int)
 
 
-def _is_connected(n: int, edges) -> bool:
-    adj = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = bytearray(n)
-    seen[0] = 1
-    order = [0]
+def _hop_distances(adj, s: int) -> list:
+    """Hop distance from s to every vertex, -1 where unreachable."""
+    # BFS on a Python row; order grows while the loop scans it
+    row = [-1] * len(adj)
+    row[s] = 0
+    order = [s]
     for x in order:
+        dx = row[x] + 1
         for y in adj[x]:
-            if not seen[y]:
-                seen[y] = 1
+            if row[y] < 0:
+                row[y] = dx
                 order.append(y)
-    return len(order) == n
+    return row
 
 
 # ---------------------------------------------------------------------------
@@ -339,20 +331,9 @@ def distance_data(g: Graph) -> DistanceData:
     """All-pairs hop distances by BFS from every vertex, with the per-level
     vertex counts."""
     n = g.n
-    adj = g.neighbor_lists()
     dist = np.empty((n, n), dtype=int)
     for s in range(n):
-        # BFS on a Python row; order grows while the loop scans it
-        row = [-1] * n
-        row[s] = 0
-        order = [s]
-        for x in order:
-            dx = row[x] + 1
-            for y in adj[x]:
-                if row[y] < 0:
-                    row[y] = dx
-                    order.append(y)
-        dist[s] = row
+        dist[s] = _hop_distances(g.adj, s)
     diameter = int(dist.max())
     # counts[i, u] = #{v : dist[u, v] = i}, one bincount over the pairs
     # keyed by i * n + u.

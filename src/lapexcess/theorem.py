@@ -124,27 +124,25 @@ def drg_oracle(g: Graph, dd: DistanceData):
     IntersectionArray on success and an OracleRefusal naming the first
     violating pair otherwise.
     """
-    degrees = g.degrees()
-    k = int(degrees[0])
+    adj = g.adj
+    k = len(adj[0])
     for v in range(1, g.n):
-        if degrees[v] != k:
+        if len(adj[v]) != k:
             return OracleRefusal(
-                f"not regular: vertex 0 has degree {k}, vertex {v} has degree {int(degrees[v])}",
+                f"not regular: vertex 0 has degree {k}, vertex {v} has degree {len(adj[v])}",
                 u=0,
                 v=v,
             )
 
     diam = dd.diameter
-    nbrs = g.neighbor_lists()
     expected = [None] * (diam + 1)
     first_pair = [None] * (diam + 1)
     for u in range(g.n):
-        du = dd.dist[u]
-        for v in range(g.n):
-            i = int(du[v])
+        du = dd.dist[u].tolist()
+        for v, i in enumerate(du):
             c = a = b = 0
-            for w in nbrs[v]:
-                dw = int(du[w])
+            for w in adj[v]:
+                dw = du[w]
                 if dw == i - 1:
                     c += 1
                 elif dw == i:

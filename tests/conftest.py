@@ -6,6 +6,9 @@ the families the acceptance criteria call out explicitly.  Analyses are
 computed once per session because several tests sweep the same corpus.
 """
 
+import os
+from pathlib import Path
+
 import networkx as nx
 import pytest
 
@@ -18,6 +21,13 @@ from lapexcess import (
     petersen_graph,
 )
 from lapexcess.theorem import analyze
+
+# The CLI tests run `python -m lapexcess` in child processes; hand them the
+# source tree that the `pythonpath` setting in pyproject.toml gives pytest.
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p
+)
 
 
 def _atlas_graphs():

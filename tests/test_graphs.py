@@ -40,6 +40,10 @@ def test_from_edges_normalizes_and_dedups():
     g = Graph.from_edges(3, [(2, 1), (1, 2), (0, 1)])
     assert g.edges == frozenset({(1, 2), (0, 1)})
     assert g.edge_count == 2
+    # the derived adjacency takes no part in equality, hashing or repr
+    direct = Graph(3, frozenset({(0, 1), (1, 2)}))
+    assert g == direct and hash(g) == hash(direct)
+    assert "adj" not in repr(g)
 
 
 def test_from_edges_rejects_loops_and_range():
@@ -47,6 +51,8 @@ def test_from_edges_rejects_loops_and_range():
         Graph.from_edges(3, [(0, 0), (0, 1)])
     with pytest.raises(EdgeListError):
         Graph.from_edges(3, [(0, 3)])
+    with pytest.raises(EdgeListError):
+        Graph.from_edges(3, [(-1, 2)])
 
 
 def test_direct_construction_validates_normalization():
@@ -76,7 +82,7 @@ def test_single_vertex_graph():
 def test_degrees_and_neighbors():
     g = path_graph(4)
     assert list(g.degrees()) == [1, 2, 2, 1]
-    assert g.neighbor_lists() == [[1], [0, 2], [1, 3], [2]]
+    assert g.adj == ((1,), (0, 2), (1, 3), (2,))
     assert set(cycle_graph(5).degrees().tolist()) == {2}
 
 
@@ -251,6 +257,7 @@ def test_distance_data_matches_networkx():
     for g in graphs:
         dd = distance_data(g)
         h = to_networkx(g)
+        assert g.adj == tuple(tuple(sorted(h[v])) for v in range(g.n))
         lengths = dict(nx.all_pairs_shortest_path_length(h))
         for u in range(g.n):
             for v in range(g.n):

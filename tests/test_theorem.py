@@ -105,7 +105,9 @@ def test_oracle_refuses_irregular():
     g = path_graph(4)
     res = drg_oracle(g, distance_data(g))
     assert isinstance(res, OracleRefusal)
-    assert "not regular" in res.reason
+    assert (res.u, res.v) == (0, 1)
+    assert res.distance is None
+    assert res.reason == "not regular: vertex 0 has degree 1, vertex 1 has degree 2"
 
 
 def test_oracle_refuses_prism():
@@ -113,8 +115,9 @@ def test_oracle_refuses_prism():
     g = prism_graph()
     res = drg_oracle(g, distance_data(g))
     assert isinstance(res, OracleRefusal)
+    assert (res.u, res.v) == (0, 3)
     assert res.distance == 1
-    assert "not constant" in res.reason
+    assert res.reason == "a_1 is not constant: pair (0, 1) gives 1, pair (0, 3) gives 0"
 
 
 def test_intersection_array_validation():

@@ -63,7 +63,7 @@ from .theorem import (
     average_excess,
     drg_oracle,
 )
-from .report import build_document, dumps, format_float, render_text
+from .report import build_document, dumps, render_text
 
 __all__ = [
     "__version__",
@@ -101,7 +101,6 @@ __all__ = [
     "eigenvalues_sym",
     "eval_matrix",
     "format_edge_list",
-    "format_float",
     "generate",
     "hoffman_polynomial",
     "hypercube_graph",

@@ -89,8 +89,8 @@ def _tridiagonalize(a: np.ndarray) -> tuple[list[float], list[float]]:
         sub = a[k + 1:, k + 1:]
         p = beta * (sub @ v)
         w = p - (0.5 * beta * float(p @ v)) * v
-        sub -= np.outer(v, w)
-        sub -= np.outer(w, v)
+        sub -= v[:, None] * w
+        sub -= w[:, None] * v
         e.append(alpha)
     e.append(float(a[n - 1, n - 2]))
     return a.diagonal().tolist(), e
@@ -209,7 +209,7 @@ def cluster_spectrum(raw: np.ndarray, tol: float = DEFAULT_CLUSTER_TOL) -> Disti
     start = 0
     for i in range(1, len(values) + 1):
         if i == len(values) or values[i] - values[i - 1] > tol_abs:
-            thetas.append(float(raw[start:i].mean()))
+            thetas.append(values[start] if i - start == 1 else float(raw[start:i].mean()))
             mults.append(i - start)
             start = i
 

@@ -143,9 +143,10 @@ def predistance_system(mu: SpectralMeasure) -> PredistanceSystem:
     d = mu.d
     polys = []
     alpha, beta, gamma = np.zeros(d + 1), np.zeros(d), np.zeros(d)
-    # monic q_i, q_{i-1}: coefficients, node values, squared norm; q_{-1} = 0
+    # monic q_i, q_{i-1}: coefficients, node values, squared norm; q_{-1} = 0.
+    # q_xn is <x q_i, q_i>, the numerator of the next Stieltjes shift.
     q_c, q_v = [1.0], [1.0] * (d + 1)
-    q_n = _dot(w, q_v)
+    q_n, q_xn = _dot(w, q_v), _dot(wt, q_v)
     p_c, p_v, p_n = [], [0.0] * (d + 1), q_n
     for i in range(d + 1):
         if abs(q_c[0]) <= _BREAKDOWN_TOL * math.sqrt(q_n):
@@ -167,12 +168,20 @@ def predistance_system(mu: SpectralMeasure) -> PredistanceSystem:
         r_prev, wxr_prev, rn_prev = r, wxr, rn
         # Stieltjes step q_{i+1} = (x - a) q_i - b q_{i-1}.  a and b are
         # nonnegative, so the zero padding subtracts +0.0 and moves nothing.
-        a = _dot(wt, [x * x for x in q_v]) / q_n
+        a = q_xn / q_n
         b = q_n / p_n
         nxt = [(x - a * y) - b * z for x, y, z in zip([0.0] + q_c, q_c + [0.0], p_c + [0.0, 0.0])]
-        vals = [(t - a) * x - b * y for t, x, y in zip(thetas, q_v, p_v)]
+        # the node values of q_{i+1} and, in the same pass, the sums
+        # w_j (v_j v_j) and (w_j theta_j) (v_j v_j), left to right
+        vals, norm, xnorm = [], 0.0, 0.0
+        for t, x, y, c, ct in zip(thetas, q_v, p_v, w, wt):
+            v = (t - a) * x - b * y
+            vals.append(v)
+            v *= v
+            norm += c * v
+            xnorm += ct * v
         p_c, p_v, p_n = q_c, q_v, q_n
-        q_c, q_v, q_n = nxt, vals, _dot(w, [x * x for x in vals])
+        q_c, q_v, q_n, q_xn = nxt, vals, norm, xnorm
     return PredistanceSystem(polys, alpha, beta, gamma)
 
 

@@ -1,98 +1,28 @@
 """Rendering an Analysis as JSON or human-readable text.
 
-The JSON document is versioned ("schema": 2) and must round-trip floats
-losslessly, so every real number is written with 17 significant digits;
-the standard json module does not expose float formatting, hence the small
-emitter here.  The text form is a compact report whose centerpiece is the
-recurrence table with rows beta_i, alpha_i, gamma_i.
+The JSON document is versioned ("schema": 2).  Its builders hand the
+standard library's encoder only builtins (dict, list, str, int, float, bool
+and None), which writes it as one compact line.  Python prints each float
+in the shortest form that parses back to the same double, so the document
+round-trips losslessly; a non-finite value raises ValueError.  The text
+form is a compact report whose centerpiece is the recurrence table with
+rows beta_i, alpha_i, gamma_i.
 """
 
 from __future__ import annotations
 
-import math
-from json.encoder import encode_basestring_ascii as _encode_str
-
-import numpy as np
+import json
 
 from .theorem import Analysis, IntersectionArray, OracleRefusal
 
 SCHEMA_VERSION = 2
 
-
-# ---------------------------------------------------------------------------
-# JSON with explicit float precision
-# ---------------------------------------------------------------------------
-
-def format_float(x: float) -> str:
-    """17 significant digits, always recognizable as a real number.
-
-    17 digits are enough for any double to parse back to the identical bit
-    pattern.  A ".0" is appended when the %g form looks like an integer so
-    the JSON value stays a float on the way back in.
-    """
-    if not math.isfinite(x):
-        raise ValueError(f"cannot serialize non-finite value {x}")
-    s = format(float(x), ".17g")
-    if "." not in s and "e" not in s:
-        s += ".0"
-    return s
+_encode = json.JSONEncoder(allow_nan=False).encode
 
 
 def dumps(obj) -> str:
-    """Serialize dicts/lists/scalars to JSON, two spaces per level, with
-    format_float for reals."""
-    return _emit(obj, "")
-
-
-def _emit(obj, pad: str) -> str:
-    """obj as JSON text; pad indents the line obj starts on, two more spaces
-    each level.
-
-    The exact-type tests come first and in order of frequency (a report is
-    mostly floats); the isinstance tests after them catch numpy scalars and
-    subclasses.
-    """
-    kind = type(obj)
-    if kind is float:
-        return format_float(obj)
-    if kind is int:
-        return str(obj)
-    if kind is str:
-        return _encode_str(obj)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        inner = pad + "  "
-        # encoding a key that is not a str raises TypeError
-        items = ",\n".join(
-            f"{inner}{_encode_str(key)}: {_emit(val, inner)}" for key, val in obj.items()
-        )
-        return f"{{\n{items}\n{pad}}}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        inner = pad + "  "
-        items = ",\n".join(f"{inner}{_emit(val, inner)}" for val in obj)
-        return f"[\n{items}\n{pad}]"
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, str):
-        return _encode_str(obj)
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return format_float(float(obj))
-    raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
-
-
-def _floats(values) -> list:
-    return [float(x) for x in values]
-
-
-def _ints(values) -> list:
-    return [int(x) for x in values]
+    """obj as one line of JSON; raises ValueError on a non-finite float."""
+    return _encode(obj)
 
 
 # ---------------------------------------------------------------------------
@@ -103,12 +33,12 @@ def spectrum_section(raw, spectrum, phis) -> dict:
     """The spectrum subtree, shared by the full report and the spectrum
     subcommand (which has no Analysis to hand)."""
     return {
-        "raw": _floats(raw),
-        "distinct": _floats(spectrum.thetas),
-        "multiplicities": _ints(spectrum.mults),
+        "raw": raw.tolist(),
+        "distinct": spectrum.thetas.tolist(),
+        "multiplicities": spectrum.mults.tolist(),
         "d": spectrum.d,
         "min_gap": float(spectrum.min_gap) if spectrum.d >= 1 else None,
-        "phi": _floats(phis),
+        "phi": phis.tolist(),
     }
 
 
@@ -121,9 +51,9 @@ def _oracle_document(analysis: Analysis) -> dict:
             "ran": True,
             "distance_regular": True,
             "intersection_array": {
-                "b": _ints(res.b),
-                "c": _ints(res.c),
-                "a": _ints(res.a),
+                "b": list(res.b),
+                "c": list(res.c),
+                "a": list(res.a),
                 "notation": str(res),
             },
         }
@@ -149,7 +79,7 @@ def build_document(analysis: Analysis) -> dict:
     sys = analysis.system
     d, dd = analysis.spectrum.d, analysis.distances
     # no vertex has anything at a distance d past the diameter
-    per_vertex = dd.excess_counts[d] if d <= dd.diameter else [0] * g.n
+    per_vertex = dd.excess_counts[d].tolist() if d <= dd.diameter else [0] * g.n
     return {
         "schema": SCHEMA_VERSION,
         "tool": {"name": "lapexcess", "version": __version__},
@@ -170,9 +100,9 @@ def build_document(analysis: Analysis) -> dict:
             analysis.raw_eigenvalues, analysis.spectrum, analysis.phis
         ),
         "predistance": {
-            "alpha": _floats(sys.alpha),
-            "beta": _floats(sys.beta),
-            "gamma": _floats(sys.gamma),
+            "alpha": sys.alpha.tolist(),
+            "beta": sys.beta.tolist(),
+            "gamma": sys.gamma.tolist(),
             "values_at_zero": [float(p[0]) for p in sys.polys],
         },
         "hoffman": {"max_residual": float(analysis.hoffman_residual)},
@@ -182,10 +112,10 @@ def build_document(analysis: Analysis) -> dict:
             "average": float(analysis.average_excess),
             "spectral": float(analysis.spectral_excess),
             "spectral_closed_form": float(analysis.spectral_excess_closed),
-            "per_vertex": _ints(per_vertex),
+            "per_vertex": per_vertex,
             "equality_gap": float(analysis.spectral_excess - analysis.average_excess),
             "relative_gap": float(analysis.relative_gap),
-            "identity_residuals": _floats(analysis.identity_residuals),
+            "identity_residuals": analysis.identity_residuals.tolist(),
             "verdict": analysis.verdict.value,
         },
         "oracle": _oracle_document(analysis),

@@ -104,7 +104,7 @@ def test_internal_error_exits_70(monkeypatch, capsys):
 @pytest.mark.parametrize(
     "error",
     [
-        ValueError("cannot serialize non-finite value -inf"),
+        ValueError("Out of range float values are not JSON compliant"),
         RuntimeWarning("overflow encountered in scalar divide"),
         MemoryError("forced for the exit-code test"),
     ],
@@ -136,6 +136,23 @@ def test_nan_spectral_excess_exits_70(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert "r_d(0) is not finite" in err
+
+
+def test_nan_in_the_json_report_exits_70(monkeypatch, capsys):
+    import lapexcess.cli as cli_mod
+
+    build = cli_mod.build_document
+
+    def poisoned(analysis):
+        doc = build(analysis)
+        doc["predistance"]["alpha"][1] = math.nan
+        return doc
+
+    monkeypatch.setattr(cli_mod, "build_document", poisoned)
+    assert main(["analyze", "--gen", "petersen", "--json"]) == 70
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "internal error" in err
 
 
 def test_hypercube_8_runs_clean_with_warnings_as_errors():

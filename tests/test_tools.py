@@ -28,8 +28,8 @@ def test_digest_pins_the_bytes(capsys):
     assert _load_digest().main(["petersen", "hypercube:6"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[:2] == [
-        "petersen     09df32c704f4b1d394a8d6a060ca6ee5c275e5268a74b5e22ffba1af85d4eccc  (4 calls)",
-        "hypercube:6  45094e9c86751825d5e4deab8abc5b0a439596d694fc1863ae10c1daad834932  (4 calls)",
+        "petersen     585e7d64e6d6f50ac97721e2a50cb65fe84f228ea4f65879a5b2258f3eed4970  (4 calls)",
+        "hypercube:6  e623859609606f2cd932d65b4f0a739c5a65e6619980abad5b9ac76251251ebb  (4 calls)",
     ]
 
 

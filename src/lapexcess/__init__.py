@@ -15,7 +15,6 @@ __version__ = "0.1.0"
 from .eigen import (
     DEFAULT_CLUSTER_TOL,
     DistinctSpectrum,
-    EigenConvergenceError,
     SpectrumClusterError,
     cluster_spectrum,
     eigenvalues_sym,
@@ -74,7 +73,6 @@ __all__ = [
     "DistanceData",
     "DistinctSpectrum",
     "EdgeListError",
-    "EigenConvergenceError",
     "FAMILIES",
     "GeneratorError",
     "Graph",

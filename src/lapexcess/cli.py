@@ -12,8 +12,9 @@ verdict on success:
     2   inconclusive
     64  unusable input: bad flags, malformed edge list, unknown family
     65  the graph is not connected
-    70  internal failure: eigensolver non-convergence, misclustered
-        spectrum, a violated invariant, or any other unexpected exception
+    70  internal failure: a misclustered spectrum, a violated invariant,
+        or any other unexpected exception (LAPACK non-convergence, a
+        non-finite value refused by the JSON writer)
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import sys
 
 from .eigen import (
     DEFAULT_CLUSTER_TOL,
-    EigenConvergenceError,
     SpectrumClusterError,
     cluster_spectrum,
     eigenvalues_sym,
@@ -278,7 +278,6 @@ def main(argv=None) -> int:
         print(f"lapexcess: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (
-        EigenConvergenceError,
         SpectrumClusterError,
         OrthopolyBreakdownError,
         MisclusteredSpectrumError,
@@ -287,9 +286,10 @@ def main(argv=None) -> int:
         print(f"lapexcess: internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except Exception as exc:
-        # Anything else (a warning raised as an error, MemoryError, a
-        # non-finite value refused by the JSON writer) must not escape as
-        # status 1, which means "not distance-regular".
+        # Anything else (a warning raised as an error, MemoryError,
+        # LinAlgError from the eigensolver, a non-finite value refused by
+        # the JSON writer) must not escape as status 1, which means "not
+        # distance-regular".
         print(
             f"lapexcess: internal error: {type(exc).__name__}: {exc}",
             file=sys.stderr,

@@ -4,14 +4,15 @@ The JSON document is versioned ("schema": 2).  Its builders hand the
 standard library's encoder only builtins (dict, list, str, int, float, bool
 and None), which writes it as one compact line.  Python prints each float
 in the shortest form that parses back to the same double, so the document
-round-trips losslessly; a non-finite value raises ValueError.  The text
-form is a compact report whose centerpiece is the recurrence table with
-rows beta_i, alpha_i, gamma_i.
+round-trips losslessly; a non-finite value raises ValueError that names
+its path in the document.  The text form is a compact report whose
+centerpiece is the recurrence table with rows beta_i, alpha_i, gamma_i.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 from .theorem import Analysis, IntersectionArray, OracleRefusal
 
@@ -21,8 +22,31 @@ _encode = json.JSONEncoder(allow_nan=False).encode
 
 
 def dumps(obj) -> str:
-    """obj as one line of JSON; raises ValueError on a non-finite float."""
-    return _encode(obj)
+    """obj as one line of JSON; raises ValueError on a non-finite float,
+    naming the first one's path, e.g. ``predistance.alpha[1]``."""
+    try:
+        return _encode(obj)
+    except ValueError as exc:
+        # the encoder's words for a NaN or an infinity, as opposed to,
+        # say, a circular reference
+        if not str(exc).startswith("Out of range float values"):
+            raise
+        path, value = _first_non_finite(obj, "")
+        raise ValueError(f"non-finite value {value!r} at {path}") from None
+
+
+def _first_non_finite(obj, path: str):
+    """(path, value) of the first non-finite float in document order, or
+    None when every float is finite.  obj holds no reference cycle."""
+    if isinstance(obj, float):
+        return None if math.isfinite(obj) else (path, obj)
+    if isinstance(obj, dict):
+        children = ((f"{path}.{key}" if path else str(key), v) for key, v in obj.items())
+    elif isinstance(obj, (list, tuple)):
+        children = ((f"{path}[{i}]", v) for i, v in enumerate(obj))
+    else:
+        return None
+    return next(filter(None, (_first_non_finite(v, p) for p, v in children)), None)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from helpers import poison_spectral_excess
 
@@ -107,6 +108,7 @@ def test_internal_error_exits_70(monkeypatch, capsys):
         ValueError("Out of range float values are not JSON compliant"),
         RuntimeWarning("overflow encountered in scalar divide"),
         MemoryError("forced for the exit-code test"),
+        np.linalg.LinAlgError("Eigenvalues did not converge"),
     ],
     ids=lambda exc: type(exc).__name__,
 )
@@ -152,7 +154,10 @@ def test_nan_in_the_json_report_exits_70(monkeypatch, capsys):
     assert main(["analyze", "--gen", "petersen", "--json"]) == 70
     out, err = capsys.readouterr()
     assert out == ""
-    assert "internal error" in err
+    assert err == (
+        "lapexcess: internal error: ValueError: "
+        "non-finite value nan at predistance.alpha[1]\n"
+    )
 
 
 def test_hypercube_8_runs_clean_with_warnings_as_errors():

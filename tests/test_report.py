@@ -31,8 +31,16 @@ def test_dumps_floats_always_look_real():
 
 def test_dumps_rejects_non_finite():
     for bad in (math.inf, -math.inf, math.nan):
-        with pytest.raises(ValueError):
-            dumps({"nested": [1.0, bad]})
+        with pytest.raises(ValueError) as info:
+            dumps({"ok": 2.0, "nested": [1.0, {"deep": bad}, math.nan]})
+        assert str(info.value) == f"non-finite value {bad!r} at nested[1].deep"
+
+
+def test_dumps_passes_other_value_errors_through():
+    loop = []
+    loop.append(loop)
+    with pytest.raises(ValueError, match="Circular reference"):
+        dumps({"loop": loop})
 
 
 def test_dumps_round_trip():

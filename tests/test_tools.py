@@ -28,8 +28,8 @@ def test_digest_pins_the_bytes(capsys):
     assert _load_digest().main(["petersen", "hypercube:6"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[:2] == [
-        "petersen     585e7d64e6d6f50ac97721e2a50cb65fe84f228ea4f65879a5b2258f3eed4970  (4 calls)",
-        "hypercube:6  e623859609606f2cd932d65b4f0a739c5a65e6619980abad5b9ac76251251ebb  (4 calls)",
+        "petersen     a38fdcd03e0583f8df4157cf4f8e7cfae0222a1e52b1a4a47af4a3eb3b161b52  (4 calls)",
+        "hypercube:6  284fe7a436bd3e06aad989a70b8002255dbe8070f21a0ba91e53038544f913ca  (4 calls)",
     ]
 
 

@@ -43,12 +43,11 @@ from .graphs import (
 )
 from .orthopoly import OrthopolyBreakdownError
 from .report import (
-    SCHEMA_VERSION,
     build_document,
     dumps,
     render_spectrum_text,
     render_text,
-    spectrum_section,
+    spectrum_document,
 )
 from .theorem import (
     DEFAULT_EQUALITY_TOL,
@@ -232,10 +231,8 @@ def _cmd_analyze(args) -> int:
         tol_eq=args.tol_eq,
         run_oracle=not args.no_oracle,
     )
-    if args.json:
-        sys.stdout.write(dumps(build_document(analysis)) + "\n")
-    else:
-        sys.stdout.write(render_text(analysis))
+    doc = build_document(analysis)
+    sys.stdout.write(dumps(doc) + "\n" if args.json else render_text(doc))
     return _VERDICT_EXIT[analysis.verdict]
 
 
@@ -245,16 +242,8 @@ def _cmd_spectrum(args) -> int:
     g = _load_graph(args)
     raw = eigenvalues_sym(laplacian_matrix(g))
     spectrum = cluster_spectrum(raw, args.tol_eig)
-    phis = phi_products(spectrum)
-    if args.json:
-        doc = {
-            "schema": SCHEMA_VERSION,
-            "graph": {"n": g.n, "edge_count": g.edge_count},
-            "spectrum": spectrum_section(raw, spectrum, phis),
-        }
-        sys.stdout.write(dumps(doc) + "\n")
-    else:
-        sys.stdout.write(render_spectrum_text(g, raw, spectrum, phis))
+    doc = spectrum_document(g, raw, spectrum, phi_products(spectrum))
+    sys.stdout.write(dumps(doc) + "\n" if args.json else render_spectrum_text(doc))
     return 0
 
 

@@ -80,9 +80,10 @@ def cluster_spectrum(raw: np.ndarray, tol: float = DEFAULT_CLUSTER_TOL) -> Disti
     then validated as the simple zero eigenvalue of a connected Laplacian
     and snapped to exactly 0.
 
-    Raises :class:`SpectrumClusterError` when the zero eigenvalue is
-    missing or repeated (disconnected input, unreachable for graphs built
-    by this package) or when a value is negative beyond tolerance.
+    Raises :class:`SpectrumClusterError` when the smallest cluster holds
+    more than one eigenvalue (for a graph built by this package, which is
+    connected, that means the tolerance merged distinct eigenvalues), when
+    it is not zero, or when a value is negative beyond tolerance.
     """
     raw = np.asarray(raw, dtype=float)
     if raw.ndim != 1 or len(raw) == 0:
@@ -105,6 +106,15 @@ def cluster_spectrum(raw: np.ndarray, tol: float = DEFAULT_CLUSTER_TOL) -> Disti
             mults.append(i - start)
             start = i
 
+    if mults[0] != 1:
+        merged = values[: mults[0]]
+        gap = max(b - a for a, b in zip(merged, merged[1:]))
+        raise SpectrumClusterError(
+            f"the smallest eigenvalue cluster has multiplicity {mults[0]}: the "
+            f"clustering tolerance {tol_abs:g} merged eigenvalues up to {gap:g} "
+            "apart, but a connected graph has a simple zero eigenvalue; lower "
+            "--tol-eig"
+        )
     if abs(thetas[0]) > tol_abs:
         raise SpectrumClusterError(
             f"smallest eigenvalue {thetas[0]:g} is not zero within tolerance "
@@ -113,11 +123,6 @@ def cluster_spectrum(raw: np.ndarray, tol: float = DEFAULT_CLUSTER_TOL) -> Disti
     if raw[0] < -tol_abs:
         raise SpectrumClusterError(
             f"negative eigenvalue {raw[0]:g} below -{tol_abs:g}"
-        )
-    if mults[0] != 1:
-        raise SpectrumClusterError(
-            f"zero eigenvalue has multiplicity {mults[0]}; the graph is not "
-            "connected"
         )
     thetas[0] = 0.0
     return DistinctSpectrum(np.array(thetas), np.array(mults, dtype=int))

@@ -312,32 +312,22 @@ def laplacian_matrix(g: Graph) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DistanceData:
-    """Hop-distance combinatorics of a connected graph.
+    """Hop distances of a connected graph.
 
     dist: n x n integer matrix of shortest-path distances.
     diameter: max distance D.
-    excess_counts: (D+1) x n integer array; row i gives k_i(u), the number
-        of vertices at distance i from u.  Rows sum to n over i.
 
-    The pairs at distance exactly i are ``dist == i``.
+    The pairs at distance exactly i are ``dist == i``, so vertex u has
+    ``count_nonzero(dist[u] == i)`` vertices at distance i, none past D.
     """
 
     dist: np.ndarray
     diameter: int
-    excess_counts: np.ndarray
 
 
 def distance_data(g: Graph) -> DistanceData:
-    """All-pairs hop distances by BFS from every vertex, with the per-level
-    vertex counts."""
-    n = g.n
-    dist = np.empty((n, n), dtype=int)
-    for s in range(n):
+    """All-pairs hop distances by BFS from every vertex."""
+    dist = np.empty((g.n, g.n), dtype=int)
+    for s in range(g.n):
         dist[s] = _hop_distances(g.adj, s)
-    diameter = int(dist.max())
-    # counts[i, u] = #{v : dist[u, v] = i}, one bincount over the pairs
-    # keyed by i * n + u.
-    keys = dist * n + np.arange(n)[:, None]
-    counts = np.bincount(keys.ravel(), minlength=(diameter + 1) * n).reshape(diameter + 1, n)
-    return DistanceData(dist, diameter, counts)
-
+    return DistanceData(dist, int(dist.max()))

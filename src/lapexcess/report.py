@@ -1,12 +1,16 @@
-"""Rendering an Analysis as JSON or human-readable text.
+"""Report documents, and their JSON and text renderings.
 
-The JSON document is versioned ("schema": 2).  Its builders hand the
-standard library's encoder only builtins (dict, list, str, int, float, bool
-and None), which writes it as one compact line.  Python prints each float
-in the shortest form that parses back to the same double, so the document
-round-trips losslessly; a non-finite value raises ValueError that names
-its path in the document.  The text form is a compact report whose
-centerpiece is the recurrence table with rows beta_i, alpha_i, gamma_i.
+A report is a versioned document ("schema": 2) of builtins only (dict,
+list, str, int, float, bool and None): :func:`build_document` makes one
+from an Analysis and :func:`spectrum_document` one from a clustered
+spectrum.  The document alone decides what a report says.  :func:`dumps`
+writes it with the standard library's encoder as one compact line; Python
+prints each float in the shortest form that parses back to the same
+double, so the document round-trips losslessly, and a non-finite value
+raises ValueError that names its path in the document.  The text
+renderers read the same document, so the text of a report is a function
+of its JSON.  The text report's centerpiece is the recurrence table with
+rows beta_i, alpha_i, gamma_i.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 
-from .theorem import Analysis, IntersectionArray, OracleRefusal
+from .theorem import Analysis, IntersectionArray, per_vertex_excess
 
 SCHEMA_VERSION = 2
 
@@ -50,12 +54,10 @@ def _first_non_finite(obj, path: str):
 
 
 # ---------------------------------------------------------------------------
-# Document assembly
+# Documents
 # ---------------------------------------------------------------------------
 
-def spectrum_section(raw, spectrum, phis) -> dict:
-    """The spectrum subtree, shared by the full report and the spectrum
-    subcommand (which has no Analysis to hand)."""
+def _spectrum_section(raw, spectrum, phis) -> dict:
     return {
         "raw": raw.tolist(),
         "distinct": spectrum.thetas.tolist(),
@@ -63,6 +65,15 @@ def spectrum_section(raw, spectrum, phis) -> dict:
         "d": spectrum.d,
         "min_gap": float(spectrum.min_gap) if spectrum.d >= 1 else None,
         "phi": phis.tolist(),
+    }
+
+
+def spectrum_document(g, raw, spectrum, phis) -> dict:
+    """The spectrum-only document: graph size and the clustered spectrum."""
+    return {
+        "schema": SCHEMA_VERSION,
+        "graph": {"n": g.n, "edge_count": g.edge_count},
+        "spectrum": _spectrum_section(raw, spectrum, phis),
     }
 
 
@@ -102,8 +113,6 @@ def build_document(analysis: Analysis) -> dict:
     dmin, dmax = int(degrees.min()), int(degrees.max())
     sys = analysis.system
     d, dd = analysis.spectrum.d, analysis.distances
-    # no vertex has anything at a distance d past the diameter
-    per_vertex = dd.excess_counts[d].tolist() if d <= dd.diameter else [0] * g.n
     return {
         "schema": SCHEMA_VERSION,
         "tool": {"name": "lapexcess", "version": __version__},
@@ -120,7 +129,7 @@ def build_document(analysis: Analysis) -> dict:
             "degree_mean": float(degrees.mean()),
             "degree_mean_square": float((degrees.astype(float) ** 2).mean()),
         },
-        "spectrum": spectrum_section(
+        "spectrum": _spectrum_section(
             analysis.raw_eigenvalues, analysis.spectrum, analysis.phis
         ),
         "predistance": {
@@ -136,7 +145,7 @@ def build_document(analysis: Analysis) -> dict:
             "average": float(analysis.average_excess),
             "spectral": float(analysis.spectral_excess),
             "spectral_closed_form": float(analysis.spectral_excess_closed),
-            "per_vertex": per_vertex,
+            "per_vertex": per_vertex_excess(dd, d).tolist(),
             "equality_gap": float(analysis.spectral_excess - analysis.average_excess),
             "relative_gap": float(analysis.relative_gap),
             "identity_residuals": analysis.identity_residuals.tolist(),
@@ -154,94 +163,84 @@ def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
 
-def recurrence_table(analysis: Analysis) -> str:
-    """The recurrence coefficients as an aligned table, one row per
-    coefficient family (beta, alpha, gamma), one column per index i.
+def recurrence_table(predistance: dict) -> str:
+    """The recurrence coefficients of a document's ``predistance`` section
+    as an aligned table, one row per coefficient family (beta, alpha,
+    gamma), one column per index i.
 
     beta_i exists for i < d and gamma_i for i >= 1, so those rows have one
     blank cell each.
     """
-    sys = analysis.system
-    d = sys.d
+    alpha = predistance["alpha"]
     rows = [
-        ("beta_i", [_fmt(b) for b in sys.beta] + [""]),
-        ("alpha_i", [_fmt(a) for a in sys.alpha]),
-        ("gamma_i", [""] + [_fmt(c) for c in sys.gamma]),
+        ("i", [str(i) for i in range(len(alpha))]),
+        ("beta_i", [_fmt(b) for b in predistance["beta"]] + [""]),
+        ("alpha_i", [_fmt(a) for a in alpha]),
+        ("gamma_i", [""] + [_fmt(c) for c in predistance["gamma"]]),
     ]
-    header = ["i"] + [str(i) for i in range(d + 1)]
-    widths = [max(len(header[j + 1]), *(len(cells[j]) for _, cells in rows)) for j in range(d + 1)]
-    label_w = max(len(name) for name, _ in rows + [("i", [])])
-    lines = ["  ".join([header[0].rjust(label_w)] + [header[j + 1].rjust(widths[j]) for j in range(d + 1)])]
-    for name, cells in rows:
-        lines.append("  ".join([name.rjust(label_w)] + [cells[j].rjust(widths[j]) for j in range(d + 1)]))
-    return "\n".join(lines)
-
-
-def render_text(analysis: Analysis) -> str:
-    """Human-readable report: graph summary, spectrum, recurrence table,
-    excess comparison, oracle, verdict."""
-    g = analysis.graph
-    s = analysis.spectrum
-    degrees = g.degrees()
-    dmin, dmax = int(degrees.min()), int(degrees.max())
-    regular = f"regular of degree {dmin}" if dmin == dmax else (
-        f"not regular (degrees {dmin}..{dmax}, mean {_fmt(degrees.mean())})"
+    label_w = max(len(name) for name, _ in rows)
+    widths = [max(map(len, column)) for column in zip(*(cells for _, cells in rows))]
+    return "\n".join(
+        "  ".join([name.rjust(label_w)] + [cell.rjust(w) for cell, w in zip(cells, widths)])
+        for name, cells in rows
     )
+
+
+def render_text(doc: dict) -> str:
+    """Human-readable form of a :func:`build_document` document: graph
+    summary, spectrum, recurrence table, excess comparison, oracle,
+    verdict."""
+    g, s, excess, oracle = doc["graph"], doc["spectrum"], doc["excess"], doc["oracle"]
+    regular = f"regular of degree {g['degree_min']}" if g["regular"] else (
+        f"not regular (degrees {g['degree_min']}..{g['degree_max']}, "
+        f"mean {_fmt(g['degree_mean'])})"
+    )
+    if not oracle["ran"]:
+        oracle_line = "not run"
+    elif oracle["distance_regular"]:
+        oracle_line = (
+            "distance-regular with intersection array "
+            + oracle["intersection_array"]["notation"]
+        )
+    else:
+        oracle_line = f"refused ({oracle['refusal']['reason']})"
     lines = [
-        f"graph: {g.n} vertices, {g.edge_count} edges, {regular}",
-        f"distinct Laplacian eigenvalues (d = {s.d}):",
+        f"graph: {g['n']} vertices, {g['edge_count']} edges, {regular}",
+        f"distinct Laplacian eigenvalues (d = {s['d']}):",
     ]
-    for i in range(s.d + 1):
-        lines.append(f"  theta_{i} = {_fmt(s.thetas[i])}  (multiplicity {int(s.mults[i])})")
-    lines.append("")
-    lines.append("recurrence coefficients:")
-    lines.append(_indent(recurrence_table(analysis)))
-    lines.append("")
-    lines.append(
-        f"hoffman polynomial residual max|H(L) - J| = {_fmt(analysis.hoffman_residual)}"
-    )
-    lines.append(
-        f"spectral excess r_d(0): {_fmt(analysis.spectral_excess)} by normalization, "
-        f"{_fmt(analysis.spectral_excess_closed)} by closed form"
-    )
-    lines.append(
-        f"average excess (diameter {analysis.distances.diameter}): "
-        f"{_fmt(analysis.average_excess)}"
-    )
-    lines.append(
-        f"equality gap: {_fmt(analysis.spectral_excess - analysis.average_excess)} "
-        f"(relative {_fmt(analysis.relative_gap)}, tolerance {_fmt(analysis.tol_eq)})"
-    )
-    lines.append("oracle: " + _oracle_line(analysis.oracle))
-    lines.append(f"verdict: {analysis.verdict.value}")
+    for i, (theta, mult) in enumerate(zip(s["distinct"], s["multiplicities"])):
+        lines.append(f"  theta_{i} = {_fmt(theta)}  (multiplicity {mult})")
+    lines += [
+        "",
+        "recurrence coefficients:",
+        *("  " + row for row in recurrence_table(doc["predistance"]).splitlines()),
+        "",
+        "hoffman polynomial residual max|H(L) - J| = "
+        + _fmt(doc["hoffman"]["max_residual"]),
+        f"spectral excess r_d(0): {_fmt(excess['spectral'])} by normalization, "
+        f"{_fmt(excess['spectral_closed_form'])} by closed form",
+        f"average excess (diameter {excess['diameter']}): {_fmt(excess['average'])}",
+        f"equality gap: {_fmt(excess['equality_gap'])} (relative "
+        f"{_fmt(excess['relative_gap'])}, tolerance {_fmt(doc['tolerances']['equality'])})",
+        "oracle: " + oracle_line,
+        f"verdict: {excess['verdict']}",
+    ]
     return "\n".join(lines) + "\n"
 
 
-def _oracle_line(res) -> str:
-    if res is None:
-        return "not run"
-    if isinstance(res, IntersectionArray):
-        return f"distance-regular with intersection array {res}"
-    assert isinstance(res, OracleRefusal)
-    return f"refused ({res.reason})"
-
-
-def render_spectrum_text(g, raw, spectrum, phis) -> str:
-    """Spectrum-only text: raw eigenvalues, clustered values with
-    multiplicities, and the phi products."""
+def render_spectrum_text(doc: dict) -> str:
+    """Human-readable form of a :func:`spectrum_document` document: raw
+    eigenvalues, clustered values with multiplicities, and the phi
+    products."""
+    s = doc["spectrum"]
     lines = [
-        f"graph: {g.n} vertices, {g.edge_count} edges",
+        f"graph: {doc['graph']['n']} vertices, {doc['graph']['edge_count']} edges",
         "raw Laplacian eigenvalues:",
-        "  " + "  ".join(_fmt(x) for x in raw),
-        f"distinct eigenvalues (d = {spectrum.d}):",
+        "  " + "  ".join(_fmt(x) for x in s["raw"]),
+        f"distinct eigenvalues (d = {s['d']}):",
     ]
-    for i in range(spectrum.d + 1):
+    for i, (theta, mult, phi) in enumerate(zip(s["distinct"], s["multiplicities"], s["phi"])):
         lines.append(
-            f"  theta_{i} = {_fmt(spectrum.thetas[i])}  (multiplicity "
-            f"{int(spectrum.mults[i])}, phi_{i} = {_fmt(phis[i])})"
+            f"  theta_{i} = {_fmt(theta)}  (multiplicity {mult}, phi_{i} = {_fmt(phi)})"
         )
     return "\n".join(lines) + "\n"
-
-
-def _indent(block: str) -> str:
-    return "\n".join("  " + line for line in block.splitlines())

@@ -179,6 +179,12 @@ def drg_oracle(g: Graph, dd: DistanceData):
 # Average excess and the verdict pipeline
 # ---------------------------------------------------------------------------
 
+def per_vertex_excess(dd: DistanceData, d: int) -> np.ndarray:
+    """k_d(u) for every vertex u: the number of vertices at distance d from
+    u.  All zeros when d exceeds the diameter."""
+    return np.count_nonzero(dd.dist == d, axis=1)
+
+
 def average_excess(dd: DistanceData, d: int) -> float:
     """Mean over all vertices of the number of vertices at distance d.
 
@@ -193,9 +199,7 @@ def average_excess(dd: DistanceData, d: int) -> float:
             f"diameter {dd.diameter} exceeds d = {d}: distinct eigenvalues "
             "were merged during clustering; tighten the eigenvalue tolerance"
         )
-    if d > dd.diameter:
-        return 0.0
-    return float(dd.excess_counts[d].mean())
+    return float(per_vertex_excess(dd, d).mean())
 
 
 @dataclass(frozen=True)

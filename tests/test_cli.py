@@ -86,6 +86,18 @@ def test_disconnected_exits_65(tmp_path, capsys):
     assert "not connected" in capsys.readouterr().err
 
 
+def test_merged_zero_eigenvalue_exits_70_and_names_the_tolerance(capsys):
+    # path:5 is connected; a loose tolerance merges its eigenvalues 0,
+    # 0.38, 1.38, 2.62, 3.62 (gaps up to 1.24) into one cluster
+    assert main(["analyze", "--gen", "path:5", "--tol-eig", "0.5"]) == 70
+    err = capsys.readouterr().err
+    assert "not connected" not in err
+    assert "multiplicity 5" in err
+    assert "tolerance 1.80902" in err
+    assert "1.23607 apart" in err
+    assert "--tol-eig" in err
+
+
 def test_malformed_edge_list_exits_64(monkeypatch, capsys):
     assert run_main(["analyze", "-"], "0 zero\n", monkeypatch) == 64
     capsys.readouterr()

@@ -17,6 +17,9 @@ from lapexcess import (
     GeneratorError,
     Graph,
     GraphInputError,
+    analyze,
+    average_excess,
+    build_document,
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
@@ -30,6 +33,7 @@ from lapexcess import (
     petersen_graph,
     star_graph,
 )
+from lapexcess.theorem import per_vertex_excess
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +196,8 @@ def test_petersen_shape():
     dd = distance_data(p)
     assert dd.diameter == 2
     # 3-regular, 6 vertices at distance two from each vertex
-    assert np.all(dd.excess_counts[1] == 3)
-    assert np.all(dd.excess_counts[2] == 6)
+    assert np.all(per_vertex_excess(dd, 1) == 3)
+    assert np.all(per_vertex_excess(dd, 2) == 6)
     # girth 5: no two adjacent vertices share a neighbor
     a = adjacency(p)
     assert np.max((a @ a) * a) == 0
@@ -269,12 +273,23 @@ def test_distance_data_matches_networkx():
         assert np.array_equal(classes[0], np.eye(g.n))
         if dd.diameter >= 1:
             assert np.array_equal(classes[1], adjacency(g))
-        # counts[i, u] is the number of vertices at distance i from u
-        expected = np.zeros((dd.diameter + 1, g.n), dtype=int)
+        # expected[i, u] is the number of vertices at distance i from u,
+        # for every i up to d and at least one past the diameter
+        a = analyze(g)
+        d = a.spectrum.d
+        rows = max(d, dd.diameter + 1) + 1
+        expected = np.zeros((rows, g.n), dtype=int)
         for u in range(g.n):
             for v in range(g.n):
                 expected[lengths[u][v], u] += 1
-        assert np.array_equal(dd.excess_counts, expected)
-        # counts column-sum to n
-        assert np.all(dd.excess_counts.sum(axis=0) == g.n)
+        counts = np.array([per_vertex_excess(dd, i) for i in range(rows)])
+        assert np.array_equal(counts, expected)
+        # the counts of each vertex sum to n
+        assert np.all(counts.sum(axis=0) == g.n)
+        for i in range(dd.diameter, rows):
+            assert average_excess(dd, i) == expected[i].mean()
+        # the report carries the row at d, which is at least the diameter
+        excess = build_document(a)["excess"]
+        assert excess["per_vertex"] == expected[d].tolist()
+        assert excess["average"] == expected[d].mean()
 

@@ -8,7 +8,14 @@ import pytest
 from helpers import paw_graph
 
 from lapexcess import analyze, path_graph, petersen_graph
-from lapexcess.report import build_document, dumps, recurrence_table, render_text
+from lapexcess.report import (
+    build_document,
+    dumps,
+    recurrence_table,
+    render_spectrum_text,
+    render_text,
+    spectrum_document,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +224,7 @@ def test_document_no_oracle_branch():
 # ---------------------------------------------------------------------------
 
 def test_render_text_sections():
-    text = render_text(analyze(path_graph(4)))
+    text = render_text(build_document(analyze(path_graph(4))))
     for needle in (
         "beta_i",
         "alpha_i",
@@ -232,7 +239,7 @@ def test_render_text_sections():
 
 
 def test_recurrence_table_rows():
-    table = recurrence_table(analyze(petersen_graph()))
+    table = recurrence_table(build_document(analyze(petersen_graph()))["predistance"])
     lines = table.splitlines()
     assert len(lines) == 4
     assert lines[0].split() == ["i", "0", "1", "2"]
@@ -241,3 +248,14 @@ def test_recurrence_table_rows():
     assert lines[3].split()[0] == "gamma_i"
     # petersen: beta = (-3, -2), alpha = (3, 3, 1), gamma = (-1, -1)
     assert lines[2].split()[1:] == ["3", "3", "1"]
+
+
+def test_text_is_a_function_of_the_json(analyzed_corpus):
+    # both text forms read nothing but the document, so the document parsed
+    # back from its JSON renders to the same text
+    for name, g, a in analyzed_corpus:
+        for doc, render in (
+            (build_document(a), render_text),
+            (spectrum_document(g, a.raw_eigenvalues, a.spectrum, a.phis), render_spectrum_text),
+        ):
+            assert render(json.loads(dumps(doc))) == render(doc), name

@@ -27,6 +27,11 @@ The returned coefficient arrays are exact representations of slightly
 perturbed polynomials: at degrees past roughly a dozen, re-evaluating a
 polynomial from its monomial coefficients loses accuracy to cancellation,
 which is inherent to that basis rather than to the construction.
+
+``eval_matrix`` evaluates a polynomial at a symmetric matrix through the
+matrix's eigendecomposition: scalar Horner at the eigenvalues, then one
+n x n product, so the residual checks of d + 2 polynomials cost d + 2
+products rather than one per coefficient.
 """
 
 from __future__ import annotations
@@ -52,21 +57,23 @@ class OrthopolyBreakdownError(RuntimeError):
 # Polynomial evaluation (coefficients ascending)
 # ---------------------------------------------------------------------------
 
-def eval_matrix(p, m: np.ndarray) -> np.ndarray:
-    """Horner evaluation at a square symmetric matrix.
+def eval_matrix(p, eig) -> np.ndarray:
+    """p(M) for a symmetric matrix M = V diag(lam) V^T, given its
+    eigendecomposition eig = (lam, V) as ``numpy.linalg.eigh`` returns it.
 
-    The exact result is symmetric because it is a polynomial in a symmetric
-    matrix; floating-point products stray by rounding only, so the output is
+    The result is V diag(p(lam)) V^T (Higham, *Functions of Matrices*,
+    2008, section 4.5): Horner runs on the n eigenvalues, so a call costs
+    one n x n product whatever the degree of p.  The exact result is
+    symmetric; the product strays by rounding only, so the output is
     symmetrized.
     """
-    m = np.asarray(m, dtype=float)
-    n = m.shape[0]
-    acc = np.zeros((n, n))
-    for k, c in enumerate(reversed(np.asarray(p, dtype=float).tolist())):
-        if k:
-            acc = acc @ m
-        acc.reshape(-1)[:: n + 1] += c  # + c I, in place on the diagonal
-    return (acc + acc.T) / 2.0
+    lam, v = eig
+    acc = np.zeros(len(lam))
+    for c in reversed(np.asarray(p, dtype=float).tolist()):
+        acc *= lam
+        acc += c
+    out = (v * acc) @ v.T
+    return (out + out.T) / 2.0
 
 
 # ---------------------------------------------------------------------------

@@ -202,6 +202,15 @@ def average_excess(dd: DistanceData, d: int) -> float:
     return float(per_vertex_excess(dd, d).mean())
 
 
+def _residual(name: str, value: np.ndarray, target) -> float:
+    """max |value - target|, raising InternalCheckError when it is not
+    finite."""
+    r = float(np.abs(value - target).max())
+    if not math.isfinite(r):
+        raise InternalCheckError(f"{name} is not finite: {r!r}")
+    return r
+
+
 @dataclass(frozen=True)
 class Analysis:
     """What the pipeline computed for one graph: the verdict with the two
@@ -238,12 +247,15 @@ def analyze(
     Laplacian, spectrum, clustering, predistance system, spectral excess by
     both routes (the constant coefficient of r_d, which the normalization
     <r_d, r_d> = r_d(0) fixes, and the closed form from the eigenvalues),
-    Hoffman identity residual, BFS distance data, average excess, verdict,
-    and (when enabled and the graph has at most ORACLE_MAX_N vertices) the
-    combinatorial oracle.  Every cross-check fails closed: a non-finite
-    spectral quantity, a disagreement between the two routes, or a decisive
-    verdict the oracle contradicts raises InternalCheckError rather than
-    returning a report that contradicts the theorem.
+    BFS distance data, average excess, verdict, the Hoffman and identity
+    residuals (every polynomial evaluated at L through one eigendecomposition
+    of L), and (when enabled and the graph has at most ORACLE_MAX_N
+    vertices) the combinatorial oracle.  Every cross-check fails closed: a
+    non-finite spectral quantity or residual, a disagreement between the two
+    routes, an eigendecomposition whose backward error exceeds the
+    clustering tolerance, or a decisive verdict the oracle contradicts
+    raises InternalCheckError rather than returning a report that
+    contradicts the theorem.
     """
     lap = laplacian_matrix(g)
     raw = eigenvalues_sym(lap)
@@ -267,9 +279,6 @@ def analyze(
             f"{r_d0!r}, closed form gives {closed!r}"
         )
 
-    hoffman = hoffman_polynomial(measure, g.n)
-    hoffman_residual = float(np.max(np.abs(eval_matrix(hoffman, lap) - 1.0)))
-
     dd = distance_data(g)
     kbar = average_excess(dd, d)
     rel = (r_d0 - kbar) / r_d0
@@ -290,11 +299,33 @@ def analyze(
     else:
         verdict = Verdict.INCONCLUSIVE
 
-    residuals = np.empty(d + 1)
-    for i in range(d + 1):
-        # all False past the diameter, and x - False == x - 0.0
-        target = dd.dist == i
-        residuals[i] = float(np.max(np.abs(eval_matrix(system.polys[i], lap) - target)))
+    # One eigendecomposition of L serves the d + 2 residuals, each one n x n
+    # product.  Its backward error is checked against L, so the residuals
+    # measure the identities on L itself, not on LAPACK's own output; the
+    # orthogonality of V is the r_0 residual max|V V^T - I|.
+    eig = np.linalg.eigh(lap)
+    bound = tol_eig * float(max(1.0, abs(raw[0]), abs(raw[-1])))  # clustering's tol_abs
+    backward = float(np.abs(lap @ eig[1] - eig[1] * eig[0]).max())
+    if not backward <= bound:
+        raise InternalCheckError(
+            f"eigendecomposition backward error max|L V - V diag(lambda)| = "
+            f"{backward!r} exceeds the eigenvalue tolerance {bound!r}"
+        )
+    # Horner on monomial coefficients overflows at large d (path:900); a
+    # non-finite residual fails closed, with no RuntimeWarning before it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        hoffman = hoffman_polynomial(measure, g.n)
+        hoffman_residual = _residual(
+            "Hoffman residual max|H(L) - J|", eval_matrix(hoffman, eig), 1.0
+        )
+        residuals = np.empty(d + 1)
+        for i in range(d + 1):
+            # all False past the diameter, and x - False == x - 0.0
+            residuals[i] = _residual(
+                f"identity residual max|r_{i}(L) - A_{i}|",
+                eval_matrix(system.polys[i], eig),
+                dd.dist == i,
+            )
 
     oracle = None
     if run_oracle and g.n <= ORACLE_MAX_N:

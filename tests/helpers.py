@@ -82,6 +82,36 @@ def poison_spectral_excess(monkeypatch) -> None:
     monkeypatch.setattr(theorem, "predistance_system", poisoned)
 
 
+def perturb_eigenvectors(monkeypatch) -> None:
+    """Make numpy.linalg.eigh return eigenvectors moved by 1e-6, so that
+    L V = V diag(lambda) no longer holds to the eigenvalue tolerance."""
+    real = np.linalg.eigh
+
+    def perturbed(m):
+        values, vectors = real(m)
+        return values, vectors + 1e-6
+
+    monkeypatch.setattr(np.linalg, "eigh", perturbed)
+
+
+def overflow_polynomial(monkeypatch, which: str) -> None:
+    """Give theorem.analyze a polynomial whose value at the largest
+    eigenvalue overflows: the Hoffman polynomial (which="hoffman") or r_1
+    (which="identity"), leaving r_d(0) alone."""
+    if which == "hoffman":
+        monkeypatch.setattr(theorem, "hoffman_polynomial", lambda mu, n: np.full(len(mu.thetas), 1e308))
+        return
+    real = theorem.predistance_system
+
+    def overflowing(mu):
+        sys = real(mu)
+        polys = list(sys.polys)
+        polys[1] = np.array([polys[1][0], 1e308])
+        return PredistanceSystem(polys, sys.alpha, sys.beta, sys.gamma)
+
+    monkeypatch.setattr(theorem, "predistance_system", overflowing)
+
+
 def idempotent(lap: np.ndarray, s: DistinctSpectrum, i: int) -> np.ndarray:
     """Spectral projector onto the eigenspace of theta_i, computed as the
     matrix polynomial (1/phi_i) * prod_{j != i} (L - theta_j I).

@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 import pytest
-from helpers import poison_spectral_excess
+from helpers import overflow_polynomial, perturb_eigenvectors, poison_spectral_excess
 
 from lapexcess import InternalCheckError, theorem
 from lapexcess.cli import main
@@ -150,6 +150,27 @@ def test_nan_spectral_excess_exits_70(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert "r_d(0) is not finite" in err
+
+
+@pytest.mark.parametrize("which, name", [
+    ("hoffman", "Hoffman residual max|H(L) - J|"),
+    ("identity", "identity residual max|r_1(L) - A_1|"),
+])
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_overflowing_residual_exits_70(monkeypatch, capsys, which, name, json_flag):
+    overflow_polynomial(monkeypatch, which)
+    assert main(["analyze", "--gen", "petersen", *json_flag]) == 70
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"lapexcess: internal error: {name} is not finite: ")
+
+
+def test_bad_eigendecomposition_exits_70(monkeypatch, capsys):
+    perturb_eigenvectors(monkeypatch)
+    assert main(["analyze", "--gen", "petersen"]) == 70
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "eigendecomposition backward error" in err
 
 
 def test_nan_in_the_json_report_exits_70(monkeypatch, capsys):

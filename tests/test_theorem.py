@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from helpers import (
     adjacency,
+    overflow_polynomial,
     paw_graph,
+    perturb_eigenvectors,
     permute_graph,
     poison_spectral_excess,
     random_connected_graph,
@@ -257,9 +259,10 @@ def test_adjacency_polys_petersen():
     polys = _adjacency_polys(a, 3)
     adj = adjacency(g)
     dd = a.distances
-    assert np.allclose(eval_matrix(polys[0], adj), np.eye(g.n), atol=1e-8)
+    eig = np.linalg.eigh(adj)
+    assert np.allclose(eval_matrix(polys[0], eig), np.eye(g.n), atol=1e-8)
     for i in (1, 2):
-        assert np.max(np.abs(eval_matrix(polys[i], adj) - (dd.dist == i))) <= 1e-8
+        assert np.max(np.abs(eval_matrix(polys[i], eig) - (dd.dist == i))) <= 1e-8
 
 
 def test_adjacency_polys_complete4():
@@ -314,6 +317,51 @@ def test_nan_spectral_excess_raises(monkeypatch):
     poison_spectral_excess(monkeypatch)
     with pytest.raises(InternalCheckError, match="not finite"):
         analyze(petersen_graph())
+
+
+@pytest.mark.parametrize("which, name", [
+    ("hoffman", r"Hoffman residual max\|H\(L\) - J\|"),
+    ("identity", r"identity residual max\|r_1\(L\) - A_1\|"),
+])
+def test_overflowing_residual_raises(monkeypatch, which, name):
+    # no RuntimeWarning first: the suite turns warnings into errors
+    overflow_polynomial(monkeypatch, which)
+    with pytest.raises(InternalCheckError, match=name + " is not finite"):
+        analyze(petersen_graph())
+
+
+def test_bad_eigendecomposition_raises(monkeypatch):
+    perturb_eigenvectors(monkeypatch)
+    with pytest.raises(InternalCheckError, match="backward error max"):
+        analyze(petersen_graph())
+
+
+# ---------------------------------------------------------------------------
+# Cost of the residual stage
+# ---------------------------------------------------------------------------
+
+def test_residuals_share_one_eigendecomposition(monkeypatch):
+    calls = {"eigh": 0, "eval_matrix": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    monkeypatch.setattr(theorem, "eval_matrix", counted("eval_matrix", theorem.eval_matrix))
+    a = analyze(path_graph(128))
+    assert a.spectrum.d == 127
+    # the Hoffman polynomial and r_0..r_d, one product each
+    assert calls == {"eigh": 1, "eval_matrix": 127 + 2}
+
+
+def test_cycle_400_is_distance_regular():
+    # d = 200: about 1 s, and no overflow warning from the monomial
+    # coefficients (the suite turns warnings into errors)
+    assert analyze(cycle_graph(400)).verdict is Verdict.DISTANCE_REGULAR
 
 
 # ---------------------------------------------------------------------------

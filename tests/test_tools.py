@@ -28,8 +28,8 @@ def test_digest_pins_the_bytes(capsys):
     assert _load_digest().main(["petersen", "hypercube:6"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[:2] == [
-        "petersen     a38fdcd03e0583f8df4157cf4f8e7cfae0222a1e52b1a4a47af4a3eb3b161b52  (4 calls)",
-        "hypercube:6  284fe7a436bd3e06aad989a70b8002255dbe8070f21a0ba91e53038544f913ca  (4 calls)",
+        "petersen     2f5ffd9dfb69d7cbe0345209d53da0ae82af72844c93f94f2ee84072a8367aa6  (4 calls)",
+        "hypercube:6  a44556c5ce410ac39a358a77a6f2059e6b8ec4d4e931033db879feea9aa07c1f  (4 calls)",
     ]
 
 

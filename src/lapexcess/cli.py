@@ -12,9 +12,9 @@ verdict on success:
     2   inconclusive
     64  unusable input: bad flags, malformed edge list, unknown family
     65  the graph is not connected
-    70  internal failure: a misclustered spectrum, a violated invariant,
-        or any other unexpected exception (LAPACK non-convergence, a
-        non-finite value refused by the JSON writer)
+    70  internal failure: a failed eigendecomposition certificate, a
+        misclustered spectrum, a violated invariant, or any other unexpected
+        exception (LAPACK non-convergence, a JSON value that is not finite)
 """
 
 from __future__ import annotations
@@ -240,7 +240,7 @@ def _cmd_spectrum(args) -> int:
     # Deliberately stops after clustering so the spectrum stays inspectable
     # even when a later pipeline stage would fail.
     g = _load_graph(args)
-    raw = eigenvalues_sym(laplacian_matrix(g))
+    raw, _ = eigenvalues_sym(laplacian_matrix(g), args.tol_eig)
     spectrum = cluster_spectrum(raw, args.tol_eig)
     doc = spectrum_document(g, raw, spectrum, phi_products(spectrum))
     sys.stdout.write(dumps(doc) + "\n" if args.json else render_spectrum_text(doc))
@@ -257,13 +257,10 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except _UsageError as exc:
-        print(f"lapexcess: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except DisconnectedGraphError as exc:
         print(f"lapexcess: error: {exc}", file=sys.stderr)
         return EXIT_DISCONNECTED
-    except GraphInputError as exc:
+    except (_UsageError, GraphInputError) as exc:
         print(f"lapexcess: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (

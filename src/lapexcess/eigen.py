@@ -1,12 +1,10 @@
 """Laplacian spectrum and spectral bookkeeping.
 
-The eigenvalues come from ``numpy.linalg.eigvalsh``, LAPACK's symmetric
-driver (Anderson et al., *LAPACK Users' Guide*, 1999).  For a fixed BLAS
-thread count its output is deterministic; the bits at n of about 1000 can
-differ between thread counts.
-
-Raw eigenvalues are then clustered into distinct values with
-multiplicities, which is the form the rest of the pipeline consumes.
+The Laplacian is factored once, by ``eigenvalues_sym``: eigenvalues from
+``numpy.linalg.eigvalsh`` and an eigenbasis from ``numpy.linalg.eigh``
+(LAPACK; Anderson et al., *LAPACK Users' Guide*, 1999), certified together
+by their backward error, then clustered into distinct values with
+multiplicities.  The bits are deterministic for a fixed BLAS thread count.
 """
 
 from __future__ import annotations
@@ -24,12 +22,24 @@ class SpectrumClusterError(ValueError):
     spectrum (zero eigenvalue missing or repeated, or a negative value)."""
 
 
-def eigenvalues_sym(m: np.ndarray) -> np.ndarray:
-    """All eigenvalues of a dense symmetric matrix, sorted ascending.
+class InternalCheckError(RuntimeError):
+    """A quantity violated a theorem that cannot fail, so the computation
+    itself is wrong (bad clustering, lost precision, or a bug)."""
 
-    Asymmetry at rounding level is averaged away; raises ValueError if the
-    input is not square and symmetric, and numpy.linalg.LinAlgError if
-    LAPACK does not converge.
+
+def absolute_tol(raw, tol: float) -> float:
+    """tol * max(1, spectral radius of the ascending raw eigenvalues)."""
+    return tol * max(1.0, abs(float(raw[0])), abs(float(raw[-1])))
+
+
+def eigenvalues_sym(m: np.ndarray, tol: float = DEFAULT_CLUSTER_TOL):
+    """(values, V) of a dense symmetric matrix m: eigvalsh's ascending
+    eigenvalues and eigh's orthonormal eigenbasis, certified by
+    max|m V - V diag(values)| <= absolute_tol(values, tol).  (eigh's own
+    eigenvalues differ in the last bits, which decide a tiny r_d(0).)
+    Rounding-level asymmetry is averaged away.  Raises ValueError if m is
+    not square and symmetric, InternalCheckError if the certificate fails,
+    and numpy.linalg.LinAlgError if LAPACK does not converge.
     """
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -39,7 +49,16 @@ def eigenvalues_sym(m: np.ndarray) -> np.ndarray:
         if asym > 1e-12 * max(1.0, float(np.abs(a).max())):
             raise ValueError(f"matrix is not symmetric (max asymmetry {asym:g})")
         a = (a + a.T) / 2.0
-    return np.linalg.eigvalsh(a)
+    values = np.linalg.eigvalsh(a)
+    vectors = np.linalg.eigh(a)[1]
+    bound = absolute_tol(values, tol)
+    backward = float(np.abs(a @ vectors - vectors * values).max())
+    if not backward <= bound:
+        raise InternalCheckError(
+            f"eigendecomposition backward error max|L V - V diag(lambda)| = "
+            f"{backward!r} exceeds the eigenvalue tolerance {bound!r}"
+        )
+    return values, vectors
 
 
 @dataclass(frozen=True)
@@ -94,8 +113,7 @@ def cluster_spectrum(raw: np.ndarray, tol: float = DEFAULT_CLUSTER_TOL) -> Disti
     if any(b < a for a, b in zip(values, values[1:])):
         raise ValueError("raw spectrum must be sorted ascending")
 
-    radius = max(abs(values[0]), abs(values[-1]))
-    tol_abs = tol * max(1.0, radius)
+    tol_abs = absolute_tol(values, tol)
 
     thetas = []
     mults = []

@@ -59,7 +59,7 @@ class OrthopolyBreakdownError(RuntimeError):
 
 def eval_matrix(p, eig) -> np.ndarray:
     """p(M) for a symmetric matrix M = V diag(lam) V^T, given its
-    eigendecomposition eig = (lam, V) as ``numpy.linalg.eigh`` returns it.
+    eigendecomposition eig = (lam, V) as ``eigen.eigenvalues_sym`` returns it.
 
     The result is V diag(p(lam)) V^T (Higham, *Functions of Matrices*,
     2008, section 4.5): Horner runs on the n eigenvalues, so a call costs

@@ -5,6 +5,8 @@ distance-regular exactly when its average excess (the mean number of
 vertices at distance d from a vertex) equals its spectral excess r_d(0),
 the value at zero of the highest predistance polynomial.  The average never
 exceeds the spectral excess, so the verdict reduces to an equality test.
+It and the residual checks read one spectrum, the certified eigenvalues and
+eigenbasis of ``eigen.eigenvalues_sym``.
 
 Because equality of two floats is the hinge, the verdict is three-way:
 ``distance_regular`` when the relative gap is within ``tol_eq``,
@@ -26,6 +28,7 @@ import numpy as np
 from .eigen import (
     DEFAULT_CLUSTER_TOL,
     DistinctSpectrum,
+    InternalCheckError,
     cluster_spectrum,
     eigenvalues_sym,
     phi_products,
@@ -50,11 +53,6 @@ ORACLE_MAX_N = 2000
 class MisclusteredSpectrumError(RuntimeError):
     """The graph's diameter exceeds the resolved d, which is impossible for
     a correctly clustered spectrum (D <= d always holds)."""
-
-
-class InternalCheckError(RuntimeError):
-    """A quantity violated a theorem that cannot fail, so the computation
-    itself is wrong (bad clustering, lost precision, or a bug)."""
 
 
 class Verdict(enum.Enum):
@@ -244,21 +242,20 @@ def analyze(
 ) -> Analysis:
     """Run the full pipeline on a connected graph.
 
-    Laplacian, spectrum, clustering, predistance system, spectral excess by
-    both routes (the constant coefficient of r_d, which the normalization
-    <r_d, r_d> = r_d(0) fixes, and the closed form from the eigenvalues),
-    BFS distance data, average excess, verdict, the Hoffman and identity
-    residuals (every polynomial evaluated at L through one eigendecomposition
-    of L), and (when enabled and the graph has at most ORACLE_MAX_N
-    vertices) the combinatorial oracle.  Every cross-check fails closed: a
-    non-finite spectral quantity or residual, a disagreement between the two
-    routes, an eigendecomposition whose backward error exceeds the
-    clustering tolerance, or a decisive verdict the oracle contradicts
+    Laplacian, its certified eigendecomposition, clustering, predistance
+    system, spectral excess by both routes (the constant coefficient of
+    r_d, which the normalization <r_d, r_d> = r_d(0) fixes, and the closed
+    form from the eigenvalues), BFS distance data, average excess, verdict,
+    the Hoffman and identity residuals (every polynomial evaluated at L
+    through the certified eigenbasis and eigenvalues), and (when enabled
+    and the graph has at most ORACLE_MAX_N vertices) the combinatorial
+    oracle.  Every cross-check fails closed: a failed eigendecomposition
+    certificate, a non-finite spectral quantity or residual, a disagreement
+    between the two routes, or a decisive verdict the oracle contradicts
     raises InternalCheckError rather than returning a report that
     contradicts the theorem.
     """
-    lap = laplacian_matrix(g)
-    raw = eigenvalues_sym(lap)
+    raw, vectors = eigenvalues_sym(laplacian_matrix(g), tol_eig)
     spectrum = cluster_spectrum(raw, tol_eig)
     measure = SpectralMeasure.from_spectrum(spectrum)
     system = predistance_system(measure)
@@ -299,33 +296,21 @@ def analyze(
     else:
         verdict = Verdict.INCONCLUSIVE
 
-    # One eigendecomposition of L serves the d + 2 residuals, each one n x n
-    # product.  Its backward error is checked against L, so the residuals
-    # measure the identities on L itself, not on LAPACK's own output; the
-    # orthogonality of V is the r_0 residual max|V V^T - I|.
-    eig = np.linalg.eigh(lap)
-    bound = tol_eig * float(max(1.0, abs(raw[0]), abs(raw[-1])))  # clustering's tol_abs
-    backward = float(np.abs(lap @ eig[1] - eig[1] * eig[0]).max())
-    if not backward <= bound:
-        raise InternalCheckError(
-            f"eigendecomposition backward error max|L V - V diag(lambda)| = "
-            f"{backward!r} exceeds the eigenvalue tolerance {bound!r}"
-        )
-    # Horner on monomial coefficients overflows at large d (path:900); a
+    # One n x n product per residual, d + 2 in all; r_0's residual is V's
+    # orthogonality.  Monomial Horner overflows at large d (path:900): a
     # non-finite residual fails closed, with no RuntimeWarning before it.
     with np.errstate(over="ignore", invalid="ignore"):
-        hoffman = hoffman_polynomial(measure, g.n)
-        hoffman_residual = _residual(
-            "Hoffman residual max|H(L) - J|", eval_matrix(hoffman, eig), 1.0
-        )
-        residuals = np.empty(d + 1)
-        for i in range(d + 1):
-            # all False past the diameter, and x - False == x - 0.0
-            residuals[i] = _residual(
+        hoffman = eval_matrix(hoffman_polynomial(measure, g.n), (raw, vectors))
+        hoffman_residual = _residual("Hoffman residual max|H(L) - J|", hoffman, 1.0)
+        # dist == i is all False past the diameter, and x - False == x - 0.0
+        residuals = np.array([
+            _residual(
                 f"identity residual max|r_{i}(L) - A_{i}|",
-                eval_matrix(system.polys[i], eig),
+                eval_matrix(p, (raw, vectors)),
                 dd.dist == i,
             )
+            for i, p in enumerate(system.polys)
+        ])
 
     oracle = None
     if run_oracle and g.n <= ORACLE_MAX_N:

@@ -94,6 +94,21 @@ def perturb_eigenvectors(monkeypatch) -> None:
     monkeypatch.setattr(np.linalg, "eigh", perturbed)
 
 
+def shift_eigenvalues(monkeypatch) -> None:
+    """Make numpy.linalg.eigvalsh return petersen's top cluster, the four
+    eigenvalues 5, moved up by 1e-6.  They still cluster, and the verdict
+    would still read distance_regular, but L V = V diag(lambda) no longer
+    holds to the eigenvalue tolerance."""
+    real = np.linalg.eigvalsh
+
+    def shifted(m):
+        values = real(m).copy()
+        values[-4:] += 1e-6
+        return values
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", shifted)
+
+
 def overflow_polynomial(monkeypatch, which: str) -> None:
     """Give theorem.analyze a polynomial whose value at the largest
     eigenvalue overflows: the Hoffman polynomial (which="hoffman") or r_1

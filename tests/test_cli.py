@@ -13,7 +13,12 @@ import sys
 
 import numpy as np
 import pytest
-from helpers import overflow_polynomial, perturb_eigenvectors, poison_spectral_excess
+from helpers import (
+    overflow_polynomial,
+    perturb_eigenvectors,
+    poison_spectral_excess,
+    shift_eigenvalues,
+)
 
 from lapexcess import InternalCheckError, theorem
 from lapexcess.cli import main
@@ -165,9 +170,12 @@ def test_overflowing_residual_exits_70(monkeypatch, capsys, which, name, json_fl
     assert err.startswith(f"lapexcess: internal error: {name} is not finite: ")
 
 
-def test_bad_eigendecomposition_exits_70(monkeypatch, capsys):
-    perturb_eigenvectors(monkeypatch)
-    assert main(["analyze", "--gen", "petersen"]) == 70
+@pytest.mark.parametrize("perturb", [perturb_eigenvectors, shift_eigenvalues])
+@pytest.mark.parametrize("command", ["analyze", "spectrum"])
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_bad_eigendecomposition_exits_70(monkeypatch, capsys, perturb, command, json_flag):
+    perturb(monkeypatch)
+    assert main([command, "--gen", "petersen", *json_flag]) == 70
     out, err = capsys.readouterr()
     assert out == ""
     assert "eigendecomposition backward error" in err

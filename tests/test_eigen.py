@@ -15,7 +15,9 @@ from helpers import (
 )
 
 from lapexcess import (
+    DEFAULT_CLUSTER_TOL,
     DistinctSpectrum,
+    InternalCheckError,
     SpectrumClusterError,
     cluster_spectrum,
     cycle_graph,
@@ -25,6 +27,7 @@ from lapexcess import (
     petersen_graph,
     phi_products,
 )
+from lapexcess.eigen import absolute_tol
 
 
 def closed_form_laplacian_spectrum(family, params) -> np.ndarray:
@@ -81,17 +84,19 @@ def test_relabelled_families_match_closed_form(spec):
     params = tuple(int(p) for p in rest)
     g = generate(family, params)
     perm = np.random.default_rng(sum(params)).permutation(g.n)
-    got = eigenvalues_sym(laplacian_matrix(permute_graph(g, perm)))
+    lap = laplacian_matrix(permute_graph(g, perm))
+    got, vectors = eigenvalues_sym(lap)
     want = closed_form_laplacian_spectrum(family, params)
     scale = max(1.0, float(want[-1]))
     assert np.max(np.abs(got - want)) <= 1e-12 * scale
+    assert_certified_basis(lap, got, vectors)
 
 
 def test_relabelled_atlas_spectra_satisfy_trace_identities(atlas_corpus):
     # trace(L) = 2m and trace(L^2) = sum of squared degrees + 2m
     rng = np.random.default_rng(2014)
     for name, g in atlas_corpus:
-        raw = eigenvalues_sym(laplacian_matrix(permute_graph(g, rng.permutation(g.n))))
+        raw = eigenvalues_sym(laplacian_matrix(permute_graph(g, rng.permutation(g.n))))[0]
         degrees = g.degrees().astype(float)
         traces = (float(raw.sum()), float((raw * raw).sum()))
         wants = (2.0 * g.edge_count, float(degrees @ degrees) + 2.0 * g.edge_count)
@@ -106,6 +111,13 @@ def assert_power_traces(m, got):
     for k in (1, 2, 3):
         power = power @ m
         assert abs(float((got**k).sum()) - float(np.trace(power))) <= 1e-12 * len(m) * rho**k
+
+
+def assert_certified_basis(m, values, vectors):
+    """The backward error max|m V - V diag(values)| is within the bound the
+    certificate allows, and V is orthonormal to rounding level."""
+    assert np.abs(m @ vectors - vectors * values).max() <= absolute_tol(values, DEFAULT_CLUSTER_TOL)
+    assert np.abs(vectors.T @ vectors - np.eye(len(m))).max() <= 10 * len(m) * np.finfo(float).eps
 
 
 def sturm_count_below(diag, off, x) -> int:
@@ -152,7 +164,7 @@ def _block_diagonal():
 
 def _check_block_diagonal(m, got):
     # the spectrum is the union of the blocks' spectra
-    want = np.sort(np.concatenate([eigenvalues_sym(m[lo:hi, lo:hi]) for lo, hi in _BLOCKS]))
+    want = np.sort(np.concatenate([eigenvalues_sym(m[lo:hi, lo:hi])[0] for lo, hi in _BLOCKS]))
     assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, float(np.abs(want).max()))
 
 
@@ -184,21 +196,28 @@ def _check_indefinite(m, got):
 def test_structured_matrices_match_eigvalsh(m, check):
     # the same matrices the earlier hand-written solver was held to, now
     # checked against the power-trace identities and a per-matrix reference
-    got = eigenvalues_sym(m)
+    got, vectors = eigenvalues_sym(m)
     assert_power_traces(m, got)
     check(m, got)
+    assert_certified_basis(m, got, vectors)
+
+
+def test_failed_certificate_raises():
+    # no basis meets a bound below the rounding of the product m V
+    with pytest.raises(InternalCheckError, match="backward error max"):
+        eigenvalues_sym(_indefinite(), tol=1e-20)
 
 
 def test_diagonal_and_trivial_cases():
-    assert np.array_equal(eigenvalues_sym(np.array([[5.0]])), [5.0])
+    assert np.array_equal(eigenvalues_sym(np.array([[5.0]]))[0], [5.0])
     d = np.diag([3.0, -1.0, 2.0])
-    assert np.array_equal(eigenvalues_sym(d), [-1.0, 2.0, 3.0])
+    assert np.array_equal(eigenvalues_sym(d)[0], [-1.0, 2.0, 3.0])
 
 
 def test_eigenvalues_sorted_and_deterministic():
     lap = laplacian_matrix(petersen_graph())
-    a = eigenvalues_sym(lap)
-    b = eigenvalues_sym(lap)
+    a = eigenvalues_sym(lap)[0]
+    b = eigenvalues_sym(lap)[0]
     assert np.array_equal(a, b)
     assert np.all(np.diff(a) >= 0)
 
@@ -212,7 +231,7 @@ def test_rejects_bad_input():
 
 def test_tolerates_rounding_level_asymmetry():
     m = np.array([[2.0, 1.0], [1.0 + 1e-15, 2.0]])
-    got = eigenvalues_sym(m)
+    got = eigenvalues_sym(m)[0]
     assert np.allclose(got, [1.0, 3.0], atol=1e-12)
 
 
@@ -222,7 +241,7 @@ def test_tolerates_rounding_level_asymmetry():
 
 def test_cluster_exact_multiplicities():
     # C4 Laplacian spectrum is 0, 2, 2, 4
-    raw = eigenvalues_sym(laplacian_matrix(cycle_graph(4)))
+    raw = eigenvalues_sym(laplacian_matrix(cycle_graph(4)))[0]
     s = cluster_spectrum(raw)
     assert np.allclose(s.thetas, [0.0, 2.0, 4.0], atol=1e-12)
     assert list(s.mults) == [1, 2, 1]
@@ -281,7 +300,7 @@ def test_phi_sign_alternation():
     rng = np.random.default_rng(11)
     for _ in range(8):
         g = random_connected_graph(rng, int(rng.integers(2, 12)), 2)
-        raw = eigenvalues_sym(laplacian_matrix(g))
+        raw = eigenvalues_sym(laplacian_matrix(g))[0]
         s = cluster_spectrum(raw)
         phis = phi_products(s)
         for i, phi in enumerate(phis):
@@ -293,7 +312,7 @@ def test_phi_products_match_reference_bitwise(atlas_corpus):
     graphs = [g for _, g in atlas_corpus]
     graphs += [generate("path", (128,)), generate("cycle", (128,)), generate("hypercube", (7,))]
     for g in graphs:
-        s = cluster_spectrum(eigenvalues_sym(laplacian_matrix(g)))
+        s = cluster_spectrum(eigenvalues_sym(laplacian_matrix(g))[0])
         assert phi_products(s).tobytes() == reference_phi_products(s.thetas).tobytes(), g
 
 
@@ -305,7 +324,7 @@ def test_phi_single_eigenvalue():
 def test_idempotents_are_projectors():
     g = petersen_graph()
     lap = laplacian_matrix(g)
-    s = cluster_spectrum(eigenvalues_sym(lap))
+    s = cluster_spectrum(eigenvalues_sym(lap)[0])
     n = g.n
     total = np.zeros((n, n))
     for i in range(s.d + 1):
@@ -319,6 +338,6 @@ def test_idempotents_are_projectors():
 
 def test_idempotent_index_range():
     lap = laplacian_matrix(cycle_graph(4))
-    s = cluster_spectrum(eigenvalues_sym(lap))
+    s = cluster_spectrum(eigenvalues_sym(lap)[0])
     with pytest.raises(IndexError):
         idempotent(lap, s, 3)

@@ -40,7 +40,7 @@ from lapexcess import (
 
 
 def _measure_for(g):
-    raw = eigenvalues_sym(laplacian_matrix(g))
+    raw = eigenvalues_sym(laplacian_matrix(g))[0]
     spectrum = cluster_spectrum(raw)
     return spectrum, SpectralMeasure.from_spectrum(spectrum)
 

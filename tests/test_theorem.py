@@ -13,6 +13,7 @@ from helpers import (
     permute_graph,
     poison_spectral_excess,
     random_connected_graph,
+    shift_eigenvalues,
     to_networkx,
 )
 
@@ -30,8 +31,10 @@ from lapexcess import (
     cycle_graph,
     distance_data,
     drg_oracle,
+    eigenvalues_sym,
     eval_matrix,
     hypercube_graph,
+    laplacian_matrix,
     path_graph,
     petersen_graph,
     star_graph,
@@ -330,10 +333,17 @@ def test_overflowing_residual_raises(monkeypatch, which, name):
         analyze(petersen_graph())
 
 
-def test_bad_eigendecomposition_raises(monkeypatch):
-    perturb_eigenvectors(monkeypatch)
+@pytest.mark.parametrize("perturb", [perturb_eigenvectors, shift_eigenvalues])
+@pytest.mark.parametrize("stage", [
+    analyze,
+    lambda g: eigenvalues_sym(laplacian_matrix(g)),
+], ids=["analyze", "spectrum"])
+def test_bad_eigendecomposition_raises(monkeypatch, perturb, stage):
+    # the certificate covers the eigenvalues the verdict reads as well as
+    # the eigenvectors the residuals read
+    perturb(monkeypatch)
     with pytest.raises(InternalCheckError, match="backward error max"):
-        analyze(petersen_graph())
+        stage(petersen_graph())
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +351,8 @@ def test_bad_eigendecomposition_raises(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_residuals_share_one_eigendecomposition(monkeypatch):
-    calls = {"eigh": 0, "eval_matrix": 0}
+    calls = {"eigvalsh": 0, "eigh": 0, "eval_matrix": 0}
+    evaluated_at = []
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -350,12 +361,20 @@ def test_residuals_share_one_eigendecomposition(monkeypatch):
 
         return wrapper
 
+    def recorded(p, eig):
+        evaluated_at.append(eig[0])
+        return real_eval_matrix(p, eig)
+
+    real_eval_matrix = theorem.eval_matrix
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
     monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
-    monkeypatch.setattr(theorem, "eval_matrix", counted("eval_matrix", theorem.eval_matrix))
+    monkeypatch.setattr(theorem, "eval_matrix", counted("eval_matrix", recorded))
     a = analyze(path_graph(128))
     assert a.spectrum.d == 127
     # the Hoffman polynomial and r_0..r_d, one product each
-    assert calls == {"eigh": 1, "eval_matrix": 127 + 2}
+    assert calls == {"eigvalsh": 1, "eigh": 1, "eval_matrix": 127 + 2}
+    # every residual is evaluated at the eigenvalues the verdict reads
+    assert all(lam.tobytes() == a.raw_eigenvalues.tobytes() for lam in evaluated_at)
 
 
 def test_cycle_400_is_distance_regular():

@@ -46,8 +46,8 @@ from .orthopoly import (
     PredistanceSystem,
     SpectralMeasure,
     eval_matrix,
-    hoffman_polynomial,
     predistance_system,
+    predistance_values,
     spectral_excess_closed_form,
 )
 from .theorem import (
@@ -100,7 +100,6 @@ __all__ = [
     "eval_matrix",
     "format_edge_list",
     "generate",
-    "hoffman_polynomial",
     "hypercube_graph",
     "laplacian_matrix",
     "parse_edge_list",
@@ -108,6 +107,7 @@ __all__ = [
     "petersen_graph",
     "phi_products",
     "predistance_system",
+    "predistance_values",
     "render_text",
     "spectral_excess_closed_form",
     "star_graph",

@@ -1,8 +1,7 @@
 """Discrete orthogonal polynomials on the Laplacian spectrum.
 
-Polynomials are dense real coefficient arrays in ascending degree order,
-the leading coefficient last.  The measure places weight m_i/n on each
-distinct Laplacian eigenvalue theta_i, defining
+The measure places weight m_i/n on each distinct Laplacian eigenvalue
+theta_i, defining
 
     <p, q> = sum_i w_i p(theta_i) q(theta_i).
 
@@ -16,6 +15,12 @@ with beta_{-1} = gamma_{d+1} = 0, all betas and gammas negative, and
 alpha_i + beta_i + gamma_i = 0.  The degree-d value at zero, r_d(0), is the
 spectral excess; the Hoffman polynomial H = sum_i r_i satisfies H(L) = J.
 
+The recurrence is the only representation: a polynomial is a coefficient
+vector in the basis r_0, r_1, ..., evaluated by running the recurrence at
+the points (Gautschi, *Orthogonal Polynomials: Computation and
+Approximation*, 2004, sections 2.1-2.2).  Monomial coefficients would lose
+all accuracy to cancellation once d passes about 25.
+
 Construction uses the Stieltjes recurrence for the monic sequence (never a
 Gram matrix on the monomial basis, which is ill-conditioned) and all inner
 products are taken on node values propagated through the same recurrence,
@@ -23,15 +28,10 @@ two degrees at a time.  It sees only the d+1 nodes (at most 7 up to 7
 vertices) and runs on Python floats, cheaper than numpy calls on arrays
 that small.  Its sums run left to right, as np.sum does below 8 terms
 (pairwise from 8 on, so an array version differs there in the last digits).
-The returned coefficient arrays are exact representations of slightly
-perturbed polynomials: at degrees past roughly a dozen, re-evaluating a
-polynomial from its monomial coefficients loses accuracy to cancellation,
-which is inherent to that basis rather than to the construction.
 
-``eval_matrix`` evaluates a polynomial at a symmetric matrix through the
-matrix's eigendecomposition: scalar Horner at the eigenvalues, then one
-n x n product, so the residual checks of d + 2 polynomials cost d + 2
-products rather than one per coefficient.
+``eval_matrix`` evaluates at a symmetric matrix through its
+eigendecomposition, one n x n product per polynomial, so the residual
+checks of d + 2 polynomials cost d + 2 products.
 """
 
 from __future__ import annotations
@@ -54,25 +54,37 @@ class OrthopolyBreakdownError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Polynomial evaluation (coefficients ascending)
+# Evaluation in the predistance basis
 # ---------------------------------------------------------------------------
 
-def eval_matrix(p, eig) -> np.ndarray:
-    """p(M) for a symmetric matrix M = V diag(lam) V^T, given its
-    eigendecomposition eig = (lam, V) as ``eigen.eigenvalues_sym`` returns it.
+def predistance_values(system: PredistanceSystem, x) -> np.ndarray:
+    """r_0..r_d at the points x, as a (d+1) x len(x) array, by the
+    recurrence r_{i+1} = ((x - alpha_i) r_i - beta_{i-1} r_{i-1}) / gamma_{i+1}.
+    """
+    x = np.asarray(x, dtype=float)
+    alpha, beta, gamma = system.alpha.tolist(), system.beta.tolist(), system.gamma.tolist()
+    out = np.empty((system.d + 1, len(x)))
+    out[0] = 1.0
+    for i in range(system.d):
+        nxt = (x - alpha[i]) * out[i]
+        if i:
+            nxt -= beta[i - 1] * out[i - 1]
+        out[i + 1] = nxt / gamma[i]
+    return out
+
+
+def eval_matrix(c, basis) -> np.ndarray:
+    """p(M) for p = sum_i c_i r_i and a symmetric matrix M = V diag(lam) V^T,
+    given basis = (R, V) with R = predistance_values(system, lam).
 
     The result is V diag(p(lam)) V^T (Higham, *Functions of Matrices*,
-    2008, section 4.5): Horner runs on the n eigenvalues, so a call costs
-    one n x n product whatever the degree of p.  The exact result is
-    symmetric; the product strays by rounding only, so the output is
-    symmetrized.
+    2008, section 4.5), p(lam) = c @ R[:len(c)], so a call costs one n x n
+    product whatever the degree of p.  The exact result is symmetric; the
+    product strays by rounding only, so the output is symmetrized.
     """
-    lam, v = eig
-    acc = np.zeros(len(lam))
-    for c in reversed(np.asarray(p, dtype=float).tolist()):
-        acc *= lam
-        acc += c
-    out = (v * acc) @ v.T
+    values, v = basis
+    c = np.asarray(c, dtype=float)
+    out = (v * (c @ values[: len(c)])) @ v.T
     return (out + out.T) / 2.0
 
 
@@ -113,30 +125,31 @@ class SpectralMeasure:
 
 @dataclass(frozen=True)
 class PredistanceSystem:
-    """The polynomials r_0..r_d with their recurrence coefficients.
+    """The polynomials r_0..r_d, held as their recurrence coefficients and
+    their values at zero.
 
-    polys[i] has degree exactly i.  alpha has d+1 entries (alpha_0..alpha_d);
-    beta holds beta_0..beta_{d-1} and gamma holds gamma_1..gamma_d, both
-    empty when d = 0.
+    values_at_zero and alpha have d+1 entries (r_0(0)..r_d(0) and
+    alpha_0..alpha_d); beta holds beta_0..beta_{d-1} and gamma holds
+    gamma_1..gamma_d, both empty when d = 0.
     """
 
-    polys: list
+    values_at_zero: np.ndarray
     alpha: np.ndarray
     beta: np.ndarray
     gamma: np.ndarray
 
     @property
     def d(self) -> int:
-        return len(self.polys) - 1
+        return len(self.alpha) - 1
 
 
 def predistance_system(mu: SpectralMeasure) -> PredistanceSystem:
-    """Build the predistance polynomials and their recurrence coefficients.
+    """Build the predistance polynomials' recurrence coefficients and
+    values at zero.
 
     Stieltjes procedure for the monic orthogonal sequence q_i (tracking
-    both coefficients and node values), each q_i rescaled as soon as it is
-    produced to r_i = (q_i(0)/<q_i, q_i>) q_i so that <r_i, r_i> = r_i(0),
-    which is then the constant coefficient polys[i][0].
+    its node values and q_i(0)), each q_i rescaled as soon as it is
+    produced to r_i = (q_i(0)/<q_i, q_i>) q_i so that <r_i, r_i> = r_i(0).
     The recurrence coefficients are read off by projecting x*r_i onto the
     r-basis:
 
@@ -148,21 +161,20 @@ def predistance_system(mu: SpectralMeasure) -> PredistanceSystem:
     w = mu.weights.tolist()
     wt = [a * t for a, t in zip(w, thetas)]
     d = mu.d
-    polys = []
-    alpha, beta, gamma = np.zeros(d + 1), np.zeros(d), np.zeros(d)
-    # monic q_i, q_{i-1}: coefficients, node values, squared norm; q_{-1} = 0.
+    at_zero, alpha, beta, gamma = np.zeros(d + 1), np.zeros(d + 1), np.zeros(d), np.zeros(d)
+    # monic q_i, q_{i-1}: value at 0, node values, squared norm; q_{-1} = 0.
     # q_xn is <x q_i, q_i>, the numerator of the next Stieltjes shift.
-    q_c, q_v = [1.0], [1.0] * (d + 1)
+    q_0, q_v = 1.0, [1.0] * (d + 1)
     q_n, q_xn = _dot(w, q_v), _dot(wt, q_v)
-    p_c, p_v, p_n = [], [0.0] * (d + 1), q_n
+    p_0, p_v, p_n = 0.0, [0.0] * (d + 1), q_n
     for i in range(d + 1):
-        if abs(q_c[0]) <= _BREAKDOWN_TOL * math.sqrt(q_n):
+        if abs(q_0) <= _BREAKDOWN_TOL * math.sqrt(q_n):
             raise OrthopolyBreakdownError(
                 f"orthogonal polynomial of degree {i} vanishes at 0 "
-                f"(value {q_c[0]:g}); misclustered spectrum suspected"
+                f"(value {q_0:g}); misclustered spectrum suspected"
             )
-        scale = q_c[0] / q_n
-        polys.append(scale * np.array(q_c))
+        scale = q_0 / q_n
+        at_zero[i] = scale * q_0
         r = [scale * x for x in q_v]
         rn = scale * scale * q_n
         wxr = [a * (t * x) for a, t, x in zip(w, thetas, r)]
@@ -173,13 +185,12 @@ def predistance_system(mu: SpectralMeasure) -> PredistanceSystem:
         if i == d:
             break
         r_prev, wxr_prev, rn_prev = r, wxr, rn
-        # Stieltjes step q_{i+1} = (x - a) q_i - b q_{i-1}.  a and b are
-        # nonnegative, so the zero padding subtracts +0.0 and moves nothing.
+        # Stieltjes step q_{i+1} = (x - a) q_i - b q_{i-1}, at 0 and at the
+        # nodes; the sums w_j (v_j v_j) and (w_j theta_j) (v_j v_j) run in
+        # the same pass, left to right
         a = q_xn / q_n
         b = q_n / p_n
-        nxt = [(x - a * y) - b * z for x, y, z in zip([0.0] + q_c, q_c + [0.0], p_c + [0.0, 0.0])]
-        # the node values of q_{i+1} and, in the same pass, the sums
-        # w_j (v_j v_j) and (w_j theta_j) (v_j v_j), left to right
+        nxt_0 = (0.0 - a * q_0) - b * p_0
         vals, norm, xnorm = [], 0.0, 0.0
         for t, x, y, c, ct in zip(thetas, q_v, p_v, w, wt):
             v = (t - a) * x - b * y
@@ -187,9 +198,9 @@ def predistance_system(mu: SpectralMeasure) -> PredistanceSystem:
             v *= v
             norm += c * v
             xnorm += ct * v
-        p_c, p_v, p_n = q_c, q_v, q_n
-        q_c, q_v, q_n, q_xn = nxt, vals, norm, xnorm
-    return PredistanceSystem(polys, alpha, beta, gamma)
+        p_0, p_v, p_n = q_0, q_v, q_n
+        q_0, q_v, q_n, q_xn = nxt_0, vals, norm, xnorm
+    return PredistanceSystem(at_zero, alpha, beta, gamma)
 
 
 def _dot(a, b) -> float:
@@ -198,21 +209,6 @@ def _dot(a, b) -> float:
     for x, y in zip(a, b):
         acc += x * y
     return acc
-
-
-def hoffman_polynomial(mu: SpectralMeasure, n: int) -> np.ndarray:
-    """The degree-d polynomial (n/phi_0) * prod_{i=1..d} (x - theta_i),
-    where phi_0 = prod_{i>=1} (0 - theta_i).
-
-    Satisfies H(0) = n by construction, H(L) = J on the graph's Laplacian,
-    and H = r_0 + ... + r_d.
-    """
-    h, phi0 = [1.0], 1.0
-    for theta in mu.thetas[1:].tolist():
-        # h (x - theta): coefficient k becomes h[k-1] - theta h[k]
-        h = [-theta * h[0]] + [a - theta * b for a, b in zip(h, h[1:])] + [h[-1]]
-        phi0 *= -theta
-    return n / phi0 * np.array(h)
 
 
 def spectral_excess_closed_form(mu: SpectralMeasure, phis: np.ndarray, n: int) -> float:

@@ -136,7 +136,7 @@ def build_document(analysis: Analysis) -> dict:
             "alpha": sys.alpha.tolist(),
             "beta": sys.beta.tolist(),
             "gamma": sys.gamma.tolist(),
-            "values_at_zero": [float(p[0]) for p in sys.polys],
+            "values_at_zero": sys.values_at_zero.tolist(),
         },
         "hoffman": {"max_residual": float(analysis.hoffman_residual)},
         "excess": {

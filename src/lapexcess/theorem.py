@@ -38,8 +38,8 @@ from .orthopoly import (
     PredistanceSystem,
     SpectralMeasure,
     eval_matrix,
-    hoffman_polynomial,
     predistance_system,
+    predistance_values,
     spectral_excess_closed_form,
 )
 
@@ -243,17 +243,17 @@ def analyze(
     """Run the full pipeline on a connected graph.
 
     Laplacian, its certified eigendecomposition, clustering, predistance
-    system, spectral excess by both routes (the constant coefficient of
-    r_d, which the normalization <r_d, r_d> = r_d(0) fixes, and the closed
-    form from the eigenvalues), BFS distance data, average excess, verdict,
-    the Hoffman and identity residuals (every polynomial evaluated at L
-    through the certified eigenbasis and eigenvalues), and (when enabled
-    and the graph has at most ORACLE_MAX_N vertices) the combinatorial
-    oracle.  Every cross-check fails closed: a failed eigendecomposition
-    certificate, a non-finite spectral quantity or residual, a disagreement
-    between the two routes, or a decisive verdict the oracle contradicts
-    raises InternalCheckError rather than returning a report that
-    contradicts the theorem.
+    system, spectral excess by both routes (r_d(0), which the
+    normalization <r_d, r_d> = r_d(0) fixes, and the closed form from the
+    eigenvalues), BFS distance data, average excess, verdict, the Hoffman
+    and identity residuals (every polynomial evaluated at L by its
+    recurrence at the certified eigenvalues, through the certified
+    eigenbasis), and (when enabled and the graph has at most ORACLE_MAX_N
+    vertices) the combinatorial oracle.  Every cross-check fails closed: a
+    failed eigendecomposition certificate, a non-finite spectral quantity
+    or residual, a disagreement between the two routes, or a decisive
+    verdict the oracle contradicts raises InternalCheckError rather than
+    returning a report that contradicts the theorem.
     """
     raw, vectors = eigenvalues_sym(laplacian_matrix(g), tol_eig)
     spectrum = cluster_spectrum(raw, tol_eig)
@@ -261,10 +261,8 @@ def analyze(
     system = predistance_system(measure)
     d = spectrum.d
 
-    # r_d(0) = <r_d, r_d> is the constant coefficient the Stieltjes loop
-    # stored; Horner at 0 gives the same bits, but turns an overflowed
-    # higher coefficient into NaN (inf * 0).
-    r_d0 = float(system.polys[d][0])
+    # r_d(0) = <r_d, r_d>, as the Stieltjes loop stored it
+    r_d0 = float(system.values_at_zero[d])
     if not math.isfinite(r_d0):
         raise InternalCheckError(f"spectral excess r_d(0) is not finite: {r_d0!r}")
     phis = phi_products(spectrum)
@@ -296,20 +294,22 @@ def analyze(
     else:
         verdict = Verdict.INCONCLUSIVE
 
-    # One n x n product per residual, d + 2 in all; r_0's residual is V's
-    # orthogonality.  Monomial Horner overflows at large d (path:900): a
+    # r_0..r_d at the certified eigenvalues by their recurrence, then one
+    # n x n product per residual: H = r_0 + ... + r_d is ones(d + 1) in that
+    # basis and r_i is e_i.  r_0's residual is V's orthogonality.  A
     # non-finite residual fails closed, with no RuntimeWarning before it.
     with np.errstate(over="ignore", invalid="ignore"):
-        hoffman = eval_matrix(hoffman_polynomial(measure, g.n), (raw, vectors))
+        basis = (predistance_values(system, raw), vectors)
+        hoffman = eval_matrix(np.ones(d + 1), basis)
         hoffman_residual = _residual("Hoffman residual max|H(L) - J|", hoffman, 1.0)
         # dist == i is all False past the diameter, and x - False == x - 0.0
         residuals = np.array([
             _residual(
                 f"identity residual max|r_{i}(L) - A_{i}|",
-                eval_matrix(p, (raw, vectors)),
+                eval_matrix(np.eye(1, i + 1, i)[0], basis),
                 dd.dist == i,
             )
-            for i, p in enumerate(system.polys)
+            for i in range(d + 1)
         ])
 
     oracle = None

@@ -68,16 +68,15 @@ def inner_product(p, q, mu) -> float:
 
 
 def poison_spectral_excess(monkeypatch) -> None:
-    """Make theorem.predistance_system return an r_d whose constant
-    coefficient, the spectral excess r_d(0), is NaN."""
+    """Make theorem.predistance_system return a system whose spectral
+    excess r_d(0) is NaN."""
     real = theorem.predistance_system
 
     def poisoned(mu):
         sys = real(mu)
-        polys = list(sys.polys)
-        polys[-1] = polys[-1].copy()
-        polys[-1][0] = math.nan
-        return PredistanceSystem(polys, sys.alpha, sys.beta, sys.gamma)
+        at_zero = sys.values_at_zero.copy()
+        at_zero[-1] = math.nan
+        return PredistanceSystem(at_zero, sys.alpha, sys.beta, sys.gamma)
 
     monkeypatch.setattr(theorem, "predistance_system", poisoned)
 
@@ -110,21 +109,21 @@ def shift_eigenvalues(monkeypatch) -> None:
 
 
 def overflow_polynomial(monkeypatch, which: str) -> None:
-    """Give theorem.analyze a polynomial whose value at the largest
-    eigenvalue overflows: the Hoffman polynomial (which="hoffman") or r_1
-    (which="identity"), leaving r_d(0) alone."""
-    if which == "hoffman":
-        monkeypatch.setattr(theorem, "hoffman_polynomial", lambda mu, n: np.full(len(mu.thetas), 1e308))
-        return
-    real = theorem.predistance_system
+    """Make theorem.eval_matrix overflow on one residual's polynomial: the
+    Hoffman polynomial, ones(d + 1) in the predistance basis
+    (which="hoffman"), or r_1, the unit vector [0, 1] (which="identity").
+    Its coefficients are scaled by 1e308, so its values at the eigenvalues
+    overflow; r_d(0) is left alone."""
+    real = theorem.eval_matrix
 
-    def overflowing(mu):
-        sys = real(mu)
-        polys = list(sys.polys)
-        polys[1] = np.array([polys[1][0], 1e308])
-        return PredistanceSystem(polys, sys.alpha, sys.beta, sys.gamma)
+    def overflowing(c, basis):
+        c = np.asarray(c, dtype=float)
+        target = np.ones(len(basis[0])) if which == "hoffman" else np.array([0.0, 1.0])
+        if c.shape == target.shape and np.array_equal(c, target):
+            c = c * 1e308
+        return real(c, basis)
 
-    monkeypatch.setattr(theorem, "predistance_system", overflowing)
+    monkeypatch.setattr(theorem, "eval_matrix", overflowing)
 
 
 def idempotent(lap: np.ndarray, s: DistinctSpectrum, i: int) -> np.ndarray:

@@ -139,7 +139,7 @@ def test_document_structure_and_fidelity():
     # every float survives the trip bit for bit
     assert parsed["excess"]["relative_gap"] == analysis.relative_gap
     assert parsed["hoffman"]["max_residual"] == analysis.hoffman_residual
-    assert parsed["predistance"]["values_at_zero"] == [float(p[0]) for p in analysis.system.polys]
+    assert parsed["predistance"]["values_at_zero"] == analysis.system.values_at_zero.tolist()
 
 
 def test_document_size_is_linear_in_n_and_d():

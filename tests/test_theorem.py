@@ -13,6 +13,8 @@ from helpers import (
     permute_graph,
     poison_spectral_excess,
     random_connected_graph,
+    reference_eval_matrix,
+    reference_predistance,
     shift_eigenvalues,
     to_networkx,
 )
@@ -23,6 +25,7 @@ from lapexcess import (
     InternalCheckError,
     MisclusteredSpectrumError,
     OracleRefusal,
+    SpectralMeasure,
     Verdict,
     analyze,
     average_excess,
@@ -32,7 +35,6 @@ from lapexcess import (
     distance_data,
     drg_oracle,
     eigenvalues_sym,
-    eval_matrix,
     hypercube_graph,
     laplacian_matrix,
     path_graph,
@@ -251,9 +253,11 @@ def test_corpus_structural_invariants(analyzed_corpus):
 # ---------------------------------------------------------------------------
 
 def _adjacency_polys(a, k: int) -> list:
-    """p_i(x) = r_i(k - x): on a k-regular graph L = kI - A, so p_i(A) = r_i(L)."""
+    """p_i(x) = r_i(k - x): on a k-regular graph L = kI - A, so p_i(A) = r_i(L).
+    The r_i are the monomial reference's, on the analysis' spectral measure."""
     shift = np.polynomial.Polynomial([float(k), -1.0])
-    return [np.polynomial.Polynomial(p)(shift).coef for p in a.system.polys]
+    polys = reference_predistance(SpectralMeasure.from_spectrum(a.spectrum))[0]
+    return [np.polynomial.Polynomial(p)(shift).coef for p in polys]
 
 
 def test_adjacency_polys_petersen():
@@ -262,10 +266,9 @@ def test_adjacency_polys_petersen():
     polys = _adjacency_polys(a, 3)
     adj = adjacency(g)
     dd = a.distances
-    eig = np.linalg.eigh(adj)
-    assert np.allclose(eval_matrix(polys[0], eig), np.eye(g.n), atol=1e-8)
+    assert np.allclose(reference_eval_matrix(polys[0], adj), np.eye(g.n), atol=1e-8)
     for i in (1, 2):
-        assert np.max(np.abs(eval_matrix(polys[i], eig) - (dd.dist == i))) <= 1e-8
+        assert np.max(np.abs(reference_eval_matrix(polys[i], adj) - (dd.dist == i))) <= 1e-8
 
 
 def test_adjacency_polys_complete4():
@@ -351,8 +354,9 @@ def test_bad_eigendecomposition_raises(monkeypatch, perturb, stage):
 # ---------------------------------------------------------------------------
 
 def test_residuals_share_one_eigendecomposition(monkeypatch):
-    calls = {"eigvalsh": 0, "eigh": 0, "eval_matrix": 0}
+    calls = {"eigvalsh": 0, "eigh": 0, "predistance_values": 0, "eval_matrix": 0}
     evaluated_at = []
+    bases = []
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -361,26 +365,37 @@ def test_residuals_share_one_eigendecomposition(monkeypatch):
 
         return wrapper
 
-    def recorded(p, eig):
-        evaluated_at.append(eig[0])
-        return real_eval_matrix(p, eig)
+    def values_recorded(system, x):
+        evaluated_at.append(x)
+        bases.append(real_values(system, x))
+        return bases[-1]
 
-    real_eval_matrix = theorem.eval_matrix
+    def matrix_recorded(c, basis):
+        assert basis[0] is bases[-1]
+        return real_eval_matrix(c, basis)
+
+    real_values, real_eval_matrix = theorem.predistance_values, theorem.eval_matrix
     monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
     monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
-    monkeypatch.setattr(theorem, "eval_matrix", counted("eval_matrix", recorded))
+    monkeypatch.setattr(theorem, "predistance_values", counted("predistance_values", values_recorded))
+    monkeypatch.setattr(theorem, "eval_matrix", counted("eval_matrix", matrix_recorded))
     a = analyze(path_graph(128))
     assert a.spectrum.d == 127
-    # the Hoffman polynomial and r_0..r_d, one product each
-    assert calls == {"eigvalsh": 1, "eigh": 1, "eval_matrix": 127 + 2}
-    # every residual is evaluated at the eigenvalues the verdict reads
-    assert all(lam.tobytes() == a.raw_eigenvalues.tobytes() for lam in evaluated_at)
+    # r_0..r_d evaluated once; the Hoffman polynomial and r_0..r_d, one
+    # product each
+    assert calls == {"eigvalsh": 1, "eigh": 1, "predistance_values": 1, "eval_matrix": 127 + 2}
+    # every residual reads the basis evaluated at the eigenvalues the
+    # verdict reads
+    assert [x.tobytes() for x in evaluated_at] == [a.raw_eigenvalues.tobytes()]
 
 
 def test_cycle_400_is_distance_regular():
-    # d = 200: about 1 s, and no overflow warning from the monomial
-    # coefficients (the suite turns warnings into errors)
-    assert analyze(cycle_graph(400)).verdict is Verdict.DISTANCE_REGULAR
+    # d = 200: about 1 s, and no overflow warning (the suite turns warnings
+    # into errors)
+    a = analyze(cycle_graph(400))
+    assert a.verdict is Verdict.DISTANCE_REGULAR
+    assert a.hoffman_residual <= 1e-8
+    assert np.max(a.identity_residuals) <= 1e-8
 
 
 # ---------------------------------------------------------------------------

@@ -28,12 +28,12 @@ def test_digest_pins_the_bytes(capsys):
     # the 2988 atlas calls included (about 3 s).
     assert _load_digest().main([]) == 0
     assert capsys.readouterr().out.splitlines() == [
-        "atlas        e0eb235264f2bf5620f5ef95bc9320fd0d7fe442bd95a4fd0a19a40bf13646e5  (2988 calls)",
-        "cycle:128    e5116f6aadbf4fb2e03bb09e4610a1c7962301c17ef7c0d8dfd04d70e7107156  (4 calls)",
-        "path:128     d02fb64fc515c5382bf8b207a8eea759af2e976278d94dc97b9ea94f891c21d1  (4 calls)",
-        "hypercube:6  0b9c051c97799fba9626a5d556749577afbba25faaec45edc650659e1106a20a  (4 calls)",
-        "petersen     932e1f83a6450ed352554ef16fea78b34c0bfafdbca90f4baad36a5d7dbf02f1  (4 calls)",
-        "all          6ef99018c3140b8403c881eadac05ba1bd597e540aae70b4e24a7a67a222dca1",
+        "atlas        f4062c4b27fbac554d804e6030b177cb6034fa8fcd7212d5744be05d134e2aa9  (2988 calls)",
+        "cycle:128    00068f382ce7cb430dc2b860cf5986647e79629642a4b88872781e41a44bbd73  (4 calls)",
+        "path:128     ecec079d1092ad2cab8f24a837720ac9bf6521b53a2af43a0de8ee3c12d58874  (4 calls)",
+        "hypercube:6  242fb54328b48178398645a676c43904f586f69dfe90953bc90f7ace406528bb  (4 calls)",
+        "petersen     80f5f78d308b9ed08145c79f01fbf4b375285979eca27d45c0c0f67aa2a17cdb  (4 calls)",
+        "all          de339ebfcf8e5fb56fafe5e9da28be6449c9c585bb087db1e49c0be8936abaf6",
     ]
 
 

@@ -1,10 +1,11 @@
 """Laplacian spectrum and spectral bookkeeping.
 
-The Laplacian is factored once, by ``eigenvalues_sym``: eigenvalues from
-``numpy.linalg.eigvalsh`` and an eigenbasis from ``numpy.linalg.eigh``
-(LAPACK; Anderson et al., *LAPACK Users' Guide*, 1999), certified together
-by their backward error, then clustered into distinct values with
-multiplicities.  The bits are deterministic for a fixed BLAS thread count.
+The Laplacian is factored once, by ``eigenvalues_sym``: one
+``numpy.linalg.eigh`` call (LAPACK; Anderson et al., *LAPACK Users' Guide*,
+1999) gives the eigenvalues and an eigenbasis, certified together by their
+backward error, then the eigenvalues are clustered into distinct values
+with multiplicities.  The bits are deterministic for a fixed BLAS thread
+count.
 """
 
 from __future__ import annotations
@@ -33,13 +34,12 @@ def absolute_tol(raw, tol: float) -> float:
 
 
 def eigenvalues_sym(m: np.ndarray, tol: float = DEFAULT_CLUSTER_TOL):
-    """(values, V) of a dense symmetric matrix m: eigvalsh's ascending
-    eigenvalues and eigh's orthonormal eigenbasis, certified by
-    max|m V - V diag(values)| <= absolute_tol(values, tol).  (eigh's own
-    eigenvalues differ in the last bits, which decide a tiny r_d(0).)
-    Rounding-level asymmetry is averaged away.  Raises ValueError if m is
-    not square and symmetric, InternalCheckError if the certificate fails,
-    and numpy.linalg.LinAlgError if LAPACK does not converge.
+    """(values, V) of a dense symmetric matrix m: eigh's ascending
+    eigenvalues and orthonormal eigenbasis, certified by
+    max|m V - V diag(values)| <= absolute_tol(values, tol).  Rounding-level
+    asymmetry is averaged away.  Raises ValueError if m is not square and
+    symmetric, InternalCheckError if the certificate fails, and
+    numpy.linalg.LinAlgError if LAPACK does not converge.
     """
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -49,8 +49,7 @@ def eigenvalues_sym(m: np.ndarray, tol: float = DEFAULT_CLUSTER_TOL):
         if asym > 1e-12 * max(1.0, float(np.abs(a).max())):
             raise ValueError(f"matrix is not symmetric (max asymmetry {asym:g})")
         a = (a + a.T) / 2.0
-    values = np.linalg.eigvalsh(a)
-    vectors = np.linalg.eigh(a)[1]
+    values, vectors = np.linalg.eigh(a)
     bound = absolute_tol(values, tol)
     backward = float(np.abs(a @ vectors - vectors * values).max())
     if not backward <= bound:
@@ -151,10 +150,20 @@ def phi_products(s: DistinctSpectrum) -> np.ndarray:
     phi_i = prod_{j != i} (theta_i - theta_j).
 
     Signs alternate as (-1)^(d-i) because the values are strictly
-    increasing.  d = 0 gives the empty product [1].
+    increasing.  d = 0 gives the empty product [1].  The product runs left
+    to right; whenever it leaves [2^-512, 2^512] its binary exponent is
+    carried aside (math.frexp), so no partial product overflows.  Scaling
+    by powers of two is exact, so the bits are those of the plain product
+    wherever that stays normal.
     """
     thetas = s.thetas.tolist()
-    return np.array([
-        math.prod((t - u for j, u in enumerate(thetas) if j != i), start=1.0)
-        for i, t in enumerate(thetas)
-    ])
+    phis = []
+    for i, t in enumerate(thetas):
+        acc, exp = 1.0, 0
+        for u in thetas[:i] + thetas[i + 1 :]:
+            acc *= t - u
+            if not 2.0**-512 < abs(acc) < 2.0**512:
+                acc, e = math.frexp(acc)
+                exp += e
+        phis.append(math.ldexp(acc, exp))
+    return np.array(phis)

@@ -21,13 +21,12 @@ the points (Gautschi, *Orthogonal Polynomials: Computation and
 Approximation*, 2004, sections 2.1-2.2).  Monomial coefficients would lose
 all accuracy to cancellation once d passes about 25.
 
-Construction uses the Stieltjes recurrence for the monic sequence (never a
-Gram matrix on the monomial basis, which is ill-conditioned) and all inner
-products are taken on node values propagated through the same recurrence,
-two degrees at a time.  It sees only the d+1 nodes (at most 7 up to 7
-vertices) and runs on Python floats, cheaper than numpy calls on arrays
-that small.  Its sums run left to right, as np.sum does below 8 terms
-(pairwise from 8 on, so an array version differs there in the last digits).
+Construction is Lanczos with full reorthogonalization on diag(theta)
+from sqrt(w), never a Gram matrix on the monomial basis (ill-conditioned)
+nor the Stieltjes procedure (it loses accuracy on a discrete measure once
+the degree nears the node count; Gautschi, section 2.2.3).  It holds one
+(d+1) x (d+1) basis and reads each p_i(0) from its first column, to an
+absolute error near rounding level however small p_i(0) is.
 
 ``eval_matrix`` evaluates at a symmetric matrix through its
 eigendecomposition, one n x n product per polynomial, so the residual
@@ -43,14 +42,10 @@ import numpy as np
 
 from .eigen import DistinctSpectrum
 
-# Guard for the theoretically impossible q_i(0) = 0 breakdown.
-_BREAKDOWN_TOL = 1e-12
-
-
 class OrthopolyBreakdownError(RuntimeError):
-    """A constructed orthogonal polynomial vanished at 0, which cannot
-    happen for a valid spectral measure; signals a numerical breakdown or a
-    misclustered spectrum."""
+    """A constructed orthogonal polynomial vanished at 0 or took the wrong
+    sign there, which cannot happen for a valid spectral measure; signals a
+    numerical breakdown or a misclustered spectrum."""
 
 
 # ---------------------------------------------------------------------------
@@ -147,68 +142,55 @@ def predistance_system(mu: SpectralMeasure) -> PredistanceSystem:
     """Build the predistance polynomials' recurrence coefficients and
     values at zero.
 
-    Stieltjes procedure for the monic orthogonal sequence q_i (tracking
-    its node values and q_i(0)), each q_i rescaled as soon as it is
-    produced to r_i = (q_i(0)/<q_i, q_i>) q_i so that <r_i, r_i> = r_i(0).
-    The recurrence coefficients are read off by projecting x*r_i onto the
-    r-basis:
+    Lanczos on diag(theta) from the unit vector sqrt(w), with every new
+    vector orthogonalized twice against all earlier ones, gives the
+    orthonormal polynomials p_i through their node values: row i of the
+    basis Q holds sqrt(w_j) p_i(theta_j), the Rayleigh quotients a_i and
+    the norms s_{i+1} > 0 are their recurrence
+    x p_i = s_i p_{i-1} + a_i p_i + s_{i+1} p_{i+1}.  Since theta_0 = 0,
+    p_i(0) = Q[i, 0] / Q[0, 0] (Golub & Welsch, Math. Comp. 23, 1969), and
+    r_i = p_i(0) p_i, so that
 
-        alpha_i    = <x r_i, r_i>   / <r_i, r_i>
-        gamma_{i+1} = <x r_i, r_{i+1}> / <r_{i+1}, r_{i+1}>
-        beta_i     = <x r_{i+1}, r_i> / <r_i, r_i>
+        r_i(0)      = p_i(0)^2
+        alpha_i     = a_i
+        beta_{i-1}  = s_i p_i(0) / p_{i-1}(0)
+        gamma_{i+1} = s_{i+1} p_i(0) / p_{i+1}(0)
+
+    p_i(0) has the sign (-1)^i, which makes every beta and gamma negative;
+    a p_i(0) that is not finite, is zero or has the other sign raises
+    OrthopolyBreakdownError.
     """
-    thetas = mu.thetas.tolist()
-    w = mu.weights.tolist()
-    wt = [a * t for a, t in zip(w, thetas)]
+    thetas = mu.thetas
     d = mu.d
-    at_zero, alpha, beta, gamma = np.zeros(d + 1), np.zeros(d + 1), np.zeros(d), np.zeros(d)
-    # monic q_i, q_{i-1}: value at 0, node values, squared norm; q_{-1} = 0.
-    # q_xn is <x q_i, q_i>, the numerator of the next Stieltjes shift.
-    q_0, q_v = 1.0, [1.0] * (d + 1)
-    q_n, q_xn = _dot(w, q_v), _dot(wt, q_v)
-    p_0, p_v, p_n = 0.0, [0.0] * (d + 1), q_n
-    for i in range(d + 1):
-        if abs(q_0) <= _BREAKDOWN_TOL * math.sqrt(q_n):
+    q = np.empty((d + 1, d + 1))
+    q[0] = np.sqrt(mu.weights)
+    a, s = [], []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(d + 1):
+            # h[i] = <x p_i, p_i>; subtracting h @ basis and then the
+            # rounding left over keeps the basis orthonormal
+            basis = q[: i + 1]
+            v = thetas * q[i]
+            h = basis @ v
+            a.append(h[i])
+            if i == d:
+                break
+            v -= h @ basis
+            v -= (basis @ v) @ basis
+            s.append(math.sqrt(v @ v))
+            q[i + 1] = v / s[i]
+    p0 = q[:, 0] / q[0, 0]
+    for i, z in enumerate(p0.tolist()):
+        # finite and of the sign (-1)^i; NaN fails every comparison
+        if not 0.0 < (-z if i % 2 else z) < math.inf:
             raise OrthopolyBreakdownError(
-                f"orthogonal polynomial of degree {i} vanishes at 0 "
-                f"(value {q_0:g}); misclustered spectrum suspected"
+                f"orthonormal polynomial of degree {i} has value {z!r} at 0, "
+                f"where its sign must be (-1)^{i}; misclustered spectrum "
+                "suspected"
             )
-        scale = q_0 / q_n
-        at_zero[i] = scale * q_0
-        r = [scale * x for x in q_v]
-        rn = scale * scale * q_n
-        wxr = [a * (t * x) for a, t, x in zip(w, thetas, r)]
-        alpha[i] = _dot(wxr, r) / rn
-        if i:
-            gamma[i - 1] = _dot(wxr_prev, r) / rn
-            beta[i - 1] = _dot(wxr, r_prev) / rn_prev
-        if i == d:
-            break
-        r_prev, wxr_prev, rn_prev = r, wxr, rn
-        # Stieltjes step q_{i+1} = (x - a) q_i - b q_{i-1}, at 0 and at the
-        # nodes; the sums w_j (v_j v_j) and (w_j theta_j) (v_j v_j) run in
-        # the same pass, left to right
-        a = q_xn / q_n
-        b = q_n / p_n
-        nxt_0 = (0.0 - a * q_0) - b * p_0
-        vals, norm, xnorm = [], 0.0, 0.0
-        for t, x, y, c, ct in zip(thetas, q_v, p_v, w, wt):
-            v = (t - a) * x - b * y
-            vals.append(v)
-            v *= v
-            norm += c * v
-            xnorm += ct * v
-        p_0, p_v, p_n = q_0, q_v, q_n
-        q_0, q_v, q_n, q_xn = nxt_0, vals, norm, xnorm
-    return PredistanceSystem(at_zero, alpha, beta, gamma)
-
-
-def _dot(a, b) -> float:
-    """sum_j a_j b_j left to right (sum() compensates from Python 3.12 on)."""
-    acc = 0.0
-    for x, y in zip(a, b):
-        acc += x * y
-    return acc
+    s = np.array(s)
+    ratio = p0[1:] / p0[:-1]
+    return PredistanceSystem(p0 * p0, np.array(a), s * ratio, s / ratio)
 
 
 def spectral_excess_closed_form(mu: SpectralMeasure, phis: np.ndarray, n: int) -> float:

@@ -261,7 +261,7 @@ def analyze(
     system = predistance_system(measure)
     d = spectrum.d
 
-    # r_d(0) = <r_d, r_d>, as the Stieltjes loop stored it
+    # r_d(0) = <r_d, r_d>, as the Lanczos basis gave it
     r_d0 = float(system.values_at_zero[d])
     if not math.isfinite(r_d0):
         raise InternalCheckError(f"spectral excess r_d(0) is not finite: {r_d0!r}")

@@ -1,6 +1,7 @@
 """Small builders shared across test modules."""
 
 import math
+from fractions import Fraction
 
 import networkx as nx
 import numpy as np
@@ -94,18 +95,19 @@ def perturb_eigenvectors(monkeypatch) -> None:
 
 
 def shift_eigenvalues(monkeypatch) -> None:
-    """Make numpy.linalg.eigvalsh return petersen's top cluster, the four
-    eigenvalues 5, moved up by 1e-6.  They still cluster, and the verdict
-    would still read distance_regular, but L V = V diag(lambda) no longer
-    holds to the eigenvalue tolerance."""
-    real = np.linalg.eigvalsh
+    """Make numpy.linalg.eigh return petersen's top cluster, the four
+    eigenvalues 5, moved up by 1e-6, with the eigenvectors unchanged.  They
+    still cluster, and the verdict would still read distance_regular, but
+    L V = V diag(lambda) no longer holds to the eigenvalue tolerance."""
+    real = np.linalg.eigh
 
     def shifted(m):
-        values = real(m).copy()
+        values, vectors = real(m)
+        values = values.copy()
         values[-4:] += 1e-6
-        return values
+        return values, vectors
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", shifted)
+    monkeypatch.setattr(np.linalg, "eigh", shifted)
 
 
 def overflow_polynomial(monkeypatch, which: str) -> None:
@@ -146,9 +148,8 @@ def idempotent(lap: np.ndarray, s: DistinctSpectrum, i: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# numpy references for the spectral stages, kept from the array versions of
-# the package routines.  The package runs these stages on Python floats;
-# tests compare the two bit for bit where the sums have at most 7 terms.
+# References for the spectral stages: numpy versions that keep monomial
+# coefficients, and an exact rational one for the predistance system.
 # ---------------------------------------------------------------------------
 
 def reference_predistance(mu):
@@ -193,6 +194,48 @@ def reference_predistance(mu):
             gamma[i] = float(np.sum(w * x_ri * r_vals[i + 1])) / r_norm2[i + 1]
             beta[i] = float(np.sum(w * (thetas * r_vals[i + 1]) * r_vals[i])) / r_norm2[i]
     return polys, alpha, beta, gamma
+
+
+def exact_predistance(s: DistinctSpectrum):
+    """(values_at_zero, alpha, beta, gamma) as lists of Fractions: the
+    Stieltjes procedure in exact rational arithmetic on the spectrum's
+    float nodes, with the exact weights m_i / n.
+
+    With the monic q_i and c_i = q_i(0) / <q_i, q_i>, r_i = c_i q_i, so
+    r_i(0) = c_i q_i(0), alpha_i is the Stieltjes shift, gamma_{i+1} =
+    c_i / c_{i+1} and beta_{i-1} = c_i b_i / c_{i-1}.
+    """
+    thetas = [Fraction(t) for t in s.thetas.tolist()]
+    w = [Fraction(m, s.n) for m in s.mults.tolist()]
+
+    def norm(vals):
+        return sum(c * v * v for c, v in zip(w, vals))
+
+    q_at_0, q_vals = [Fraction(1)], [[Fraction(1)] * len(thetas)]
+    norms, shifts = [norm(q_vals[0])], []
+    for i in range(s.d + 1):
+        shifts.append(sum(c * t * v * v for c, t, v in zip(w, thetas, q_vals[i])) / norms[i])
+        if i == s.d:
+            break
+        b = norms[i] / norms[i - 1] if i else Fraction(0)
+        prev_0, prev = (q_at_0[i - 1], q_vals[i - 1]) if i else (Fraction(0), [Fraction(0)] * len(thetas))
+        q_at_0.append(-shifts[i] * q_at_0[i] - b * prev_0)
+        q_vals.append([(t - shifts[i]) * v - b * u for t, v, u in zip(thetas, q_vals[i], prev)])
+        norms.append(norm(q_vals[-1]))
+    c = [z / nrm for z, nrm in zip(q_at_0, norms)]
+    at_zero = [ci * z for ci, z in zip(c, q_at_0)]
+    gamma = [c[i] / c[i + 1] for i in range(s.d)]
+    beta = [c[i + 1] * (norms[i + 1] / norms[i]) / c[i] for i in range(s.d)]
+    return at_zero, shifts, beta, gamma
+
+
+def max_relative_error(got, exact) -> float:
+    """max_i |got_i - exact_i| / |exact_i|, each difference taken exactly;
+    an exact 0 counts as matched only by 0."""
+    errors = [0.0]
+    for g, e in zip(np.asarray(got).tolist(), exact, strict=True):
+        errors.append(float(abs(Fraction(g) - e) / abs(e)) if e else 0.0 if g == 0 else math.inf)
+    return max(errors)
 
 
 def reference_phi_products(thetas: np.ndarray) -> np.ndarray:

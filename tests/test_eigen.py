@@ -297,14 +297,25 @@ def test_phi_products_direct():
 
 
 def test_phi_sign_alternation():
+    # Signs alternate, and log|phi_i| matches the sum of the log gaps.  The
+    # path:1500 spectrum (closed form, no eigensolve) has every |phi_i|
+    # below 7e8 but partial products past 1e308; there the two logs differ
+    # by 1.1e-14 at most, and 1500 roundings bound it by about 3.3e-13.
     rng = np.random.default_rng(11)
+    spectra = []
     for _ in range(8):
         g = random_connected_graph(rng, int(rng.integers(2, 12)), 2)
-        raw = eigenvalues_sym(laplacian_matrix(g))[0]
-        s = cluster_spectrum(raw)
+        spectra.append(cluster_spectrum(eigenvalues_sym(laplacian_matrix(g))[0]))
+    n = 1500
+    spectra.append(DistinctSpectrum(2.0 - 2.0 * np.cos(np.pi * np.arange(n) / n), np.ones(n, dtype=int)))
+    for s in spectra:
         phis = phi_products(s)
-        for i, phi in enumerate(phis):
+        thetas = s.thetas.tolist()
+        for i, phi in enumerate(phis.tolist()):
+            assert math.isfinite(phi)
             assert (-1.0) ** (s.d - i) * phi > 0
+            log_gaps = math.fsum(math.log(abs(thetas[i] - u)) for j, u in enumerate(thetas) if j != i)
+            assert abs(math.log(abs(phi)) - log_gaps) <= 1e-12
 
 
 def test_phi_products_match_reference_bitwise(atlas_corpus):

@@ -381,9 +381,9 @@ def test_residuals_share_one_eigendecomposition(monkeypatch):
     monkeypatch.setattr(theorem, "eval_matrix", counted("eval_matrix", matrix_recorded))
     a = analyze(path_graph(128))
     assert a.spectrum.d == 127
-    # r_0..r_d evaluated once; the Hoffman polynomial and r_0..r_d, one
-    # product each
-    assert calls == {"eigvalsh": 1, "eigh": 1, "predistance_values": 1, "eval_matrix": 127 + 2}
+    # L factored once, by eigh alone; r_0..r_d evaluated once; the Hoffman
+    # polynomial and r_0..r_d, one product each
+    assert calls == {"eigvalsh": 0, "eigh": 1, "predistance_values": 1, "eval_matrix": 127 + 2}
     # every residual reads the basis evaluated at the eigenvalues the
     # verdict reads
     assert [x.tobytes() for x in evaluated_at] == [a.raw_eigenvalues.tobytes()]
@@ -499,24 +499,10 @@ def random_regular_samples(count=30):
     return samples
 
 
-# Known fault: these samples have n distinct Laplacian eigenvalues and a
-# spectral excess below 1e-24.  The Stieltjes route computes r_d(0) with an
-# absolute error above 1e-6 there (the closed form is right), so the route
-# cross-check trips and analyze fails closed with exit 70.
-_ROUTE_FAULT = pytest.mark.xfail(
-    raises=InternalCheckError, strict=True, reason="r_d(0) loses precision when tiny"
-)
-_ROUTE_FAULT_SAMPLES = {0, 8, 19, 20, 27}
-
-
 @pytest.mark.parametrize(
     "k, h",
     [
-        pytest.param(
-            k, h,
-            id=f"{i}-n{h.number_of_nodes()}-k{k}",
-            marks=_ROUTE_FAULT if i in _ROUTE_FAULT_SAMPLES else (),
-        )
+        pytest.param(k, h, id=f"{i}-n{h.number_of_nodes()}-k{k}")
         for i, (k, h) in enumerate(random_regular_samples())
     ],
 )

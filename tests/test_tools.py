@@ -28,12 +28,12 @@ def test_digest_pins_the_bytes(capsys):
     # the 2988 atlas calls included (about 3 s).
     assert _load_digest().main([]) == 0
     assert capsys.readouterr().out.splitlines() == [
-        "atlas        f4062c4b27fbac554d804e6030b177cb6034fa8fcd7212d5744be05d134e2aa9  (2988 calls)",
-        "cycle:128    00068f382ce7cb430dc2b860cf5986647e79629642a4b88872781e41a44bbd73  (4 calls)",
-        "path:128     ecec079d1092ad2cab8f24a837720ac9bf6521b53a2af43a0de8ee3c12d58874  (4 calls)",
-        "hypercube:6  242fb54328b48178398645a676c43904f586f69dfe90953bc90f7ace406528bb  (4 calls)",
-        "petersen     80f5f78d308b9ed08145c79f01fbf4b375285979eca27d45c0c0f67aa2a17cdb  (4 calls)",
-        "all          de339ebfcf8e5fb56fafe5e9da28be6449c9c585bb087db1e49c0be8936abaf6",
+        "atlas        f3395a073f87682590d88cb3e6d9cf5c095dc2f1aa1aeb76470ac95bb6e58e0e  (2988 calls)",
+        "cycle:128    c82f887ae5d735b818156f2eb5f22d573018335f37e6caa2a64f1bcf5d1a7264  (4 calls)",
+        "path:128     fd0aadb85128e1d32863a61959822594d232fba6118ee88f594e11106876ec19  (4 calls)",
+        "hypercube:6  e44989f35e136a61693547356d78a6f15a9bc5db2985136746d2a3ac62aee773  (4 calls)",
+        "petersen     78bf19fc766358ce9433f922d2f1c6ebf42f749a8d45f74ce6d5a04294aaa9c4  (4 calls)",
+        "all          7a25934f3bcfb5bed80e1a13dcd3b1376d68101ad637bd806fd02569faae2e54",
     ]
 
 

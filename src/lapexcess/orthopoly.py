@@ -29,8 +29,10 @@ the degree nears the node count; Gautschi, section 2.2.3).  It holds one
 absolute error near rounding level however small p_i(0) is.
 
 ``eval_matrix`` evaluates at a symmetric matrix through its
-eigendecomposition, one n x n product per polynomial, so the residual
-checks of d + 2 polynomials cost d + 2 products.
+eigendecomposition, one n x n product per polynomial.  The residual checks
+cost d + 2 products (the Hoffman polynomial and r_0..r_d) on a
+distance-regular or inconclusive verdict, and 1 (the Hoffman polynomial
+alone) on a not-distance-regular one.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Report documents, and their JSON and text renderings.
 
-A report is a versioned document ("schema": 2) of builtins only (dict,
+A report is a versioned document ("schema": 3) of builtins only (dict,
 list, str, int, float, bool and None): :func:`build_document` makes one
 from an Analysis and :func:`spectrum_document` one from a clustered
 spectrum.  The document alone decides what a report says.  :func:`dumps`
@@ -20,7 +20,7 @@ import math
 
 from .theorem import Analysis, IntersectionArray, per_vertex_excess
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 _encode = json.JSONEncoder(allow_nan=False).encode
 
@@ -148,7 +148,10 @@ def build_document(analysis: Analysis) -> dict:
             "per_vertex": per_vertex_excess(dd, d).tolist(),
             "equality_gap": float(analysis.spectral_excess - analysis.average_excess),
             "relative_gap": float(analysis.relative_gap),
-            "identity_residuals": analysis.identity_residuals.tolist(),
+            "identity_residuals": (
+                None if analysis.identity_residuals is None
+                else analysis.identity_residuals.tolist()
+            ),
             "verdict": analysis.verdict.value,
         },
         "oracle": _oracle_document(analysis),

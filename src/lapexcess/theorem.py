@@ -227,7 +227,7 @@ class Analysis:
     average_excess: float
     relative_gap: float
     verdict: Verdict
-    identity_residuals: np.ndarray
+    identity_residuals: np.ndarray | None
     oracle: IntersectionArray | OracleRefusal | None
     tol_eig: float
     tol_eq: float
@@ -246,14 +246,22 @@ def analyze(
     system, spectral excess by both routes (r_d(0), which the
     normalization <r_d, r_d> = r_d(0) fixes, and the closed form from the
     eigenvalues), BFS distance data, average excess, verdict, the Hoffman
-    and identity residuals (every polynomial evaluated at L by its
+    residual and, unless the verdict is not distance-regular, the identity
+    residuals max|r_i(L) - A_i| (every polynomial evaluated at L by its
     recurrence at the certified eigenvalues, through the certified
     eigenbasis), and (when enabled and the graph has at most ORACLE_MAX_N
-    vertices) the combinatorial oracle.  Every cross-check fails closed: a
-    failed eigendecomposition certificate, a non-finite spectral quantity
-    or residual, a disagreement between the two routes, or a decisive
-    verdict the oracle contradicts raises InternalCheckError rather than
-    returning a report that contradicts the theorem.
+    vertices) the combinatorial oracle.
+
+    On a not-distance-regular verdict ``identity_residuals`` is None:
+    r_i(L) = A_i holds for every i exactly when the graph is
+    distance-regular, so there the d + 1 n x n products would only restate
+    the theorem.  The Hoffman residual runs on every verdict.
+
+    Every cross-check fails closed: a failed eigendecomposition
+    certificate, a non-finite spectral quantity or residual, a disagreement
+    between the two routes, or a decisive verdict the oracle contradicts
+    raises InternalCheckError rather than returning a report that
+    contradicts the theorem.
     """
     raw, vectors = eigenvalues_sym(laplacian_matrix(g), tol_eig)
     spectrum = cluster_spectrum(raw, tol_eig)
@@ -298,19 +306,23 @@ def analyze(
     # n x n product per residual: H = r_0 + ... + r_d is ones(d + 1) in that
     # basis and r_i is e_i.  r_0's residual is V's orthogonality.  A
     # non-finite residual fails closed, with no RuntimeWarning before it.
+    # H sums every row of the basis, so a non-finite value anywhere in
+    # r_0..r_d trips the Hoffman residual, which runs on every verdict.
+    residuals = None
     with np.errstate(over="ignore", invalid="ignore"):
         basis = (predistance_values(system, raw), vectors)
         hoffman = eval_matrix(np.ones(d + 1), basis)
         hoffman_residual = _residual("Hoffman residual max|H(L) - J|", hoffman, 1.0)
-        # dist == i is all False past the diameter, and x - False == x - 0.0
-        residuals = np.array([
-            _residual(
-                f"identity residual max|r_{i}(L) - A_{i}|",
-                eval_matrix(np.eye(1, i + 1, i)[0], basis),
-                dd.dist == i,
-            )
-            for i in range(d + 1)
-        ])
+        if verdict is not Verdict.NOT_DISTANCE_REGULAR:
+            # dist == i is all False past the diameter, and x - False == x - 0.0
+            residuals = np.array([
+                _residual(
+                    f"identity residual max|r_{i}(L) - A_{i}|",
+                    eval_matrix(np.eye(1, i + 1, i)[0], basis),
+                    dd.dist == i,
+                )
+                for i in range(d + 1)
+            ])
 
     oracle = None
     if run_oracle and g.n <= ORACLE_MAX_N:

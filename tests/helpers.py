@@ -128,6 +128,20 @@ def overflow_polynomial(monkeypatch, which: str) -> None:
     monkeypatch.setattr(theorem, "eval_matrix", overflowing)
 
 
+def poison_basis(monkeypatch, value: float) -> None:
+    """Make theorem.predistance_values put value (an infinity or a NaN)
+    into one entry of r_1's row, the value of r_1 at the first eigenvalue.
+    The system, r_d(0) and the verdict are left alone."""
+    real = theorem.predistance_values
+
+    def poisoned(system, x):
+        out = real(system, x)
+        out[1, 0] = value
+        return out
+
+    monkeypatch.setattr(theorem, "predistance_values", poisoned)
+
+
 def idempotent(lap: np.ndarray, s: DistinctSpectrum, i: int) -> np.ndarray:
     """Spectral projector onto the eigenspace of theta_i, computed as the
     matrix polynomial (1/phi_i) * prod_{j != i} (L - theta_j I).

@@ -16,6 +16,7 @@ import pytest
 from helpers import (
     overflow_polynomial,
     perturb_eigenvectors,
+    poison_basis,
     poison_spectral_excess,
     shift_eigenvalues,
 )
@@ -170,6 +171,16 @@ def test_overflowing_residual_exits_70(monkeypatch, capsys, which, name, json_fl
     assert err.startswith(f"lapexcess: internal error: {name} is not finite: ")
 
 
+@pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_non_finite_basis_exits_70_on_not_distance_regular(monkeypatch, capsys, value, json_flag):
+    poison_basis(monkeypatch, value)
+    assert main(["analyze", "--gen", "path:4", *json_flag]) == 70
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("lapexcess: internal error: Hoffman residual max|H(L) - J| is not finite: ")
+
+
 @pytest.mark.parametrize("perturb", [perturb_eigenvectors, shift_eigenvalues])
 @pytest.mark.parametrize("command", ["analyze", "spectrum"])
 @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
@@ -255,7 +266,7 @@ def test_analyze_stdin(monkeypatch, capsys):
 def test_analyze_json_output(capsys):
     assert main(["analyze", "--gen", "petersen", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["schema"] == 2
+    assert doc["schema"] == 3
     assert "polynomials" not in doc["predistance"]
     assert "coefficients" not in doc["hoffman"]
     assert doc["excess"]["verdict"] == "distance_regular"

@@ -93,7 +93,7 @@ def test_dumps_string_escaping():
 # Documents
 # ---------------------------------------------------------------------------
 
-SCHEMA_2_SECTIONS = {
+SCHEMA_3_SECTIONS = {
     "tool": {"name", "version"},
     "tolerances": {"eigenvalue_cluster", "equality"},
     "graph": {
@@ -123,9 +123,9 @@ def test_document_structure_and_fidelity():
     analysis = analyze(petersen_graph())
     doc = build_document(analysis)
     parsed = json.loads(dumps(doc))
-    assert parsed["schema"] == 2
-    assert parsed.keys() == {"schema", *SCHEMA_2_SECTIONS}
-    for section, keys in SCHEMA_2_SECTIONS.items():
+    assert parsed["schema"] == 3
+    assert parsed.keys() == {"schema", *SCHEMA_3_SECTIONS}
+    for section, keys in SCHEMA_3_SECTIONS.items():
         assert parsed[section].keys() == keys, section
     assert parsed["oracle"]["intersection_array"].keys() == {"b", "c", "a", "notation"}
     assert parsed["graph"]["n"] == 10
@@ -142,8 +142,22 @@ def test_document_structure_and_fidelity():
     assert parsed["predistance"]["values_at_zero"] == analysis.system.values_at_zero.tolist()
 
 
+def test_identity_residuals_are_null_on_not_distance_regular():
+    # path:4 is not distance-regular, so the d + 1 identity residuals are
+    # not computed; every other key of the document is still there
+    analysis = analyze(path_graph(4))
+    parsed = json.loads(dumps(build_document(analysis)))
+    assert parsed["schema"] == 3
+    assert parsed["excess"]["verdict"] == "not_distance_regular"
+    assert analysis.identity_residuals is None
+    assert parsed["excess"]["identity_residuals"] is None
+    assert parsed["excess"].keys() == SCHEMA_3_SECTIONS["excess"]
+    assert parsed["hoffman"]["max_residual"] == analysis.hoffman_residual
+    assert '"identity_residuals": null' in dumps(build_document(analysis))
+
+
 def test_document_size_is_linear_in_n_and_d():
-    # schema 2 carries the recurrence, not the (d+1)(d+2)/2 monomial
+    # the report carries the recurrence, not the (d+1)(d+2)/2 monomial
     # coefficients of r_0..r_d: the bound allows three lists of length n and
     # eight of length d + 1
     n = 40

@@ -11,6 +11,7 @@ from helpers import (
     paw_graph,
     perturb_eigenvectors,
     permute_graph,
+    poison_basis,
     poison_spectral_excess,
     random_connected_graph,
     reference_eval_matrix,
@@ -35,10 +36,12 @@ from lapexcess import (
     distance_data,
     drg_oracle,
     eigenvalues_sym,
+    eval_matrix,
     hypercube_graph,
     laplacian_matrix,
     path_graph,
     petersen_graph,
+    predistance_values,
     star_graph,
 )
 from lapexcess import theorem
@@ -237,14 +240,22 @@ def test_sloppy_tolerance_trips_oracle_audit():
 def test_corpus_structural_invariants(analyzed_corpus):
     """Corpus-wide structure: the diameter never exceeds d, the reported
     average is the mean of the per-vertex counts, and a clean residual for
-    r_d cascades down to every lower index."""
+    r_d cascades down to every lower index.  A not-distance-regular verdict
+    carries no identity residuals; there r_d(L) != A_d, which is the
+    theorem itself, so r_d(L) is still evaluated on every graph."""
     for name, g, a in analyzed_corpus:
         d = a.spectrum.d
         assert a.distances.diameter <= d, name
         assert a.average_excess == pytest.approx(
             float(np.mean(build_document(a)["excess"]["per_vertex"]))
         ), name
-        if a.identity_residuals[d] <= 1e-6:
+        if a.verdict is Verdict.NOT_DISTANCE_REGULAR:
+            assert a.identity_residuals is None, name
+            raw, vectors = eigenvalues_sym(laplacian_matrix(g), a.tol_eig)
+            basis = (predistance_values(a.system, raw), vectors)
+            r_d = eval_matrix(np.eye(1, d + 1, d)[0], basis)
+            assert np.max(np.abs(r_d - (a.distances.dist == d))) > 1e-6, name
+        elif a.identity_residuals[d] <= 1e-6:
             assert np.max(a.identity_residuals) <= 1e-6, name
 
 
@@ -336,6 +347,16 @@ def test_overflowing_residual_raises(monkeypatch, which, name):
         analyze(petersen_graph())
 
 
+@pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize("n", [4, 128])
+def test_non_finite_basis_trips_hoffman_on_not_distance_regular(monkeypatch, n, value):
+    # the identity residuals do not run on this verdict; the Hoffman
+    # polynomial sums every row of the basis, so it alone must trip
+    poison_basis(monkeypatch, value)
+    with pytest.raises(InternalCheckError, match=r"Hoffman residual max\|H\(L\) - J\| is not finite"):
+        analyze(path_graph(n))
+
+
 @pytest.mark.parametrize("perturb", [perturb_eigenvectors, shift_eigenvalues])
 @pytest.mark.parametrize("stage", [
     analyze,
@@ -354,7 +375,7 @@ def test_bad_eigendecomposition_raises(monkeypatch, perturb, stage):
 # ---------------------------------------------------------------------------
 
 def test_residuals_share_one_eigendecomposition(monkeypatch):
-    calls = {"eigvalsh": 0, "eigh": 0, "predistance_values": 0, "eval_matrix": 0}
+    calls = {}
     evaluated_at = []
     bases = []
 
@@ -379,14 +400,25 @@ def test_residuals_share_one_eigendecomposition(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
     monkeypatch.setattr(theorem, "predistance_values", counted("predistance_values", values_recorded))
     monkeypatch.setattr(theorem, "eval_matrix", counted("eval_matrix", matrix_recorded))
-    a = analyze(path_graph(128))
-    assert a.spectrum.d == 127
-    # L factored once, by eigh alone; r_0..r_d evaluated once; the Hoffman
-    # polynomial and r_0..r_d, one product each
-    assert calls == {"eigvalsh": 0, "eigh": 1, "predistance_values": 1, "eval_matrix": 127 + 2}
-    # every residual reads the basis evaluated at the eigenvalues the
-    # verdict reads
-    assert [x.tobytes() for x in evaluated_at] == [a.raw_eigenvalues.tobytes()]
+    for g, verdict, products in (
+        # distance-regular, d = 64: the Hoffman polynomial and r_0..r_d
+        (cycle_graph(128), Verdict.DISTANCE_REGULAR, 64 + 2),
+        # not distance-regular, d = 127: the Hoffman polynomial alone
+        (path_graph(128), Verdict.NOT_DISTANCE_REGULAR, 1),
+    ):
+        calls.update(eigvalsh=0, eigh=0, predistance_values=0, eval_matrix=0)
+        evaluated_at.clear()
+        a = analyze(g)
+        assert a.verdict is verdict
+        assert (a.identity_residuals is None) == (verdict is Verdict.NOT_DISTANCE_REGULAR)
+        # L factored once, by eigh alone; r_0..r_d evaluated once; one
+        # product per residual
+        assert calls == {
+            "eigvalsh": 0, "eigh": 1, "predistance_values": 1, "eval_matrix": products,
+        }
+        # every residual reads the basis evaluated at the eigenvalues the
+        # verdict reads
+        assert [x.tobytes() for x in evaluated_at] == [a.raw_eigenvalues.tobytes()]
 
 
 def test_cycle_400_is_distance_regular():

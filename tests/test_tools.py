@@ -28,12 +28,12 @@ def test_digest_pins_the_bytes(capsys):
     # the 2988 atlas calls included (about 3 s).
     assert _load_digest().main([]) == 0
     assert capsys.readouterr().out.splitlines() == [
-        "atlas        f3395a073f87682590d88cb3e6d9cf5c095dc2f1aa1aeb76470ac95bb6e58e0e  (2988 calls)",
-        "cycle:128    c82f887ae5d735b818156f2eb5f22d573018335f37e6caa2a64f1bcf5d1a7264  (4 calls)",
-        "path:128     fd0aadb85128e1d32863a61959822594d232fba6118ee88f594e11106876ec19  (4 calls)",
-        "hypercube:6  e44989f35e136a61693547356d78a6f15a9bc5db2985136746d2a3ac62aee773  (4 calls)",
-        "petersen     78bf19fc766358ce9433f922d2f1c6ebf42f749a8d45f74ce6d5a04294aaa9c4  (4 calls)",
-        "all          7a25934f3bcfb5bed80e1a13dcd3b1376d68101ad637bd806fd02569faae2e54",
+        "atlas        49e554e597e772f0be26ebca3503b1618871ccea2ef30044b3fb25d4915fa187  (2988 calls)",
+        "cycle:128    8f7ecf5b69b746983f806ac7f97abdd84e0a8d5eb3369f8b5242b86c2115cf93  (4 calls)",
+        "path:128     4d06a79284c6de9ed8c69400dd675a87a682b836a8e152524adf0524e56753c0  (4 calls)",
+        "hypercube:6  742a2be8ff593f4a650f2b1e4d9570f5853dda95d52a98bbb4d5d8fc236dcd0b  (4 calls)",
+        "petersen     e2da3653b013804158e205b1c5e13f1cfe10970872bca2040f29eb5356fae2f8  (4 calls)",
+        "all          5f3ba315e79475c9dfa0aef4603ec643d80142fcb75668233d35ac4e8264b7ec",
     ]
 
 

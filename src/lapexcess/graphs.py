@@ -5,13 +5,15 @@ by the dense integers 0..n-1.  Connectivity is enforced at construction time
 because everything downstream (the Laplacian spectrum having a simple zero
 eigenvalue, the predistance machinery) assumes it.
 
-All types are immutable after construction and every function is pure, so
-values can be shared freely across threads.
+All types are immutable after construction (a graph's adjacency matrix is
+built on first use, read-only) and every function is pure, so values can
+be shared freely across threads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -42,7 +44,9 @@ class Graph:
     normalize.
 
     ``adj`` is derived from ``edges`` at construction: one sorted tuple of
-    neighbors per vertex.  It takes no part in equality, hashing or repr.
+    neighbors per vertex.  ``adjacency_matrix``, the dense boolean matrix,
+    is built from ``edges`` on first use and then kept.  Neither takes
+    part in equality, hashing or repr.
     """
 
     n: int
@@ -100,6 +104,20 @@ class Graph:
     def degrees(self) -> np.ndarray:
         """Vertex degrees as an integer array of length n."""
         return np.array([len(a) for a in self.adj], dtype=int)
+
+    @cached_property
+    def adjacency_matrix(self) -> np.ndarray:
+        """Dense adjacency matrix as a read-only boolean array, one byte
+        per entry; the n x n stages cast it to the dtype they compute in."""
+        n = self.n
+        # two byte stores per edge cost less than numpy's index machinery
+        # on the small graphs that make up most inputs
+        entries = bytearray(n * n)
+        for u, v in self.edges:
+            entries[u * n + v] = entries[v * n + u] = 1
+        a = np.frombuffer(entries, dtype=bool).reshape(n, n)
+        a.flags.writeable = False
+        return a
 
 
 def _hop_distances(adj, s: int) -> list:
@@ -297,16 +315,13 @@ def generate(family: str, params=()) -> Graph:
 # ---------------------------------------------------------------------------
 
 def laplacian_matrix(g: Graph) -> np.ndarray:
-    """Laplacian matrix: degree on the diagonal, -1 per edge off-diagonal.
+    """Laplacian matrix diag(deg) - A: degree on the diagonal, -1 per edge
+    off-diagonal.
 
     Every row sums to 0 and the trace equals twice the edge count.
     """
-    lap = np.zeros((g.n, g.n))
-    for u, v in g.edges:
-        lap[u, v] = -1.0
-        lap[v, u] = -1.0
-        lap[u, u] += 1.0
-        lap[v, v] += 1.0
+    lap = np.where(g.adjacency_matrix, -1.0, 0.0)
+    lap.flat[:: g.n + 1] = g.degrees()
     return lap
 
 
@@ -325,9 +340,48 @@ class DistanceData:
     diameter: int
 
 
+# Largest n for which distance_data counts in float32: its sums of
+# distances stay below n^2 <= 2^24, where float32 is exact.
+_FLOAT32_MAX_N = 4096
+
+
 def distance_data(g: Graph) -> DistanceData:
-    """All-pairs hop distances by BFS from every vertex."""
-    dist = np.empty((g.n, g.n), dtype=int)
-    for s in range(g.n):
-        dist[s] = _hop_distances(g.adj, s)
+    """All-pairs hop distances by Seidel's algorithm.
+
+    With R_0 = A + I, the chain R_{j+1} = [R_j^2 > 0] joins the vertices
+    within distance 2 of each other in R_j.  A Graph is connected, so after
+    about log2(D) steps some R_K^2 has no zero entry: every distance in
+    R_K is then 1 or 2, and D_K = 2 - R_K off the diagonal.  Distances in
+    R_{j+1} are ceil(d_j / 2), and d_j(u, v) is odd exactly when the
+    closed neighborhood N of v has sum_{w in N} d_{j+1}(u, w) <
+    |N| d_{j+1}(u, v) (Seidel, "On the all-pairs-shortest-path problem in
+    unweighted undirected graphs", JCSS 51, 1995), so
+    D_j = 2 D_{j+1} - [D_{j+1} R_j < D_{j+1} o deg(R_j)].
+
+    That is about 2 log2(D) n x n products, whatever the density.  They run
+    in float32 while every count, at most n * D < n^2, is exact there
+    (n <= 4096), and in float64 above.  The chain is kept as boolean
+    matrices, with the column counts deg(R_j) that the diagonal of R_j^2
+    already holds.
+    """
+    n = g.n
+    dtype = np.float32 if n <= _FLOAT32_MAX_N else np.float64
+    reach = g.adjacency_matrix.astype(dtype)
+    reach.flat[:: n + 1] = 1.0
+    chain = []
+    while not (square := reach @ reach).all():
+        chain.append((reach > 0, square.diagonal().copy()))
+        reach = np.minimum(square, 1.0, out=square)
+    dist = np.subtract(2.0, reach, out=reach)
+    dist.flat[:: n + 1] = 0.0
+    while chain:
+        closed, counts = chain.pop()
+        closed = closed.astype(dtype)
+        odd = dist @ closed
+        # D o deg(R_j) goes into the buffer the product is done with
+        np.multiply(dist, counts, out=closed)
+        np.less(odd, closed, out=odd)
+        dist *= 2.0
+        dist -= odd
+    dist = dist.astype(int)
     return DistanceData(dist, int(dist.max()))

@@ -13,8 +13,9 @@ Because equality of two floats is the hinge, the verdict is three-way:
 ``not_distance_regular`` when it is at least ten times that, and
 ``inconclusive`` in the gray zone between.  A significantly negative gap is
 impossible mathematically and is reported as an internal error, as is any
-disagreement with the combinatorial oracle (a brute-force intersection
-number check), which double-checks decisive verdicts on small graphs.
+disagreement with the combinatorial oracle (the intersection numbers read
+off the distance matrix), which double-checks decisive verdicts up to
+``ORACLE_MAX_N`` vertices.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ from .orthopoly import (
 
 DEFAULT_EQUALITY_TOL = 1e-6
 
-# The intersection-number oracle is quadratic in n with a neighbor scan per
-# pair; past this size it is skipped rather than stalling the pipeline.
+# The intersection-number oracle costs two n x n products and holds about
+# five n x n float arrays; past this size it is skipped.
 ORACLE_MAX_N = 2000
 
 
@@ -113,14 +114,27 @@ class OracleRefusal:
 
 
 def drg_oracle(g: Graph, dd: DistanceData):
-    """Brute-force distance-regularity check, independent of any spectral
-    computation.
+    """Distance-regularity check from the distance matrix, independent of
+    any spectral computation.
 
-    Counts, for every ordered pair (u, v) at distance i, how many neighbors
-    of v lie at distance i-1, i, i+1 from u.  The graph is distance-regular
-    iff it is regular and these counts depend on i alone.  Returns an
-    IntersectionArray on success and an OracleRefusal naming the first
-    violating pair otherwise.
+    The graph is distance-regular iff it is regular and, for every ordered
+    pair (u, v) at distance i, the neighbors of v split into counts c, a
+    and b at distance i-1, i and i+1 from u that depend on i alone.  On a
+    k-regular graph with distance matrix D and adjacency matrix A, two
+    n x n products give every count at once: |d(u, w) - d(u, v)| <= 1 for
+    every neighbor w of v, so
+
+        s1 = D A - k D                             = b - c
+        s2 = (D o D) A - 2 D o (D A) + k D o D     = b + c
+
+    and a = k - b - c.  The products run in float64, where they are exact
+    while k n^2 < 2^53.  Counts outside [0, k], or c = 0 at a distance of
+    at least 1, cannot come from a true distance matrix and raise
+    InternalCheckError naming the pair.
+
+    Returns an IntersectionArray on success.  Otherwise returns an
+    OracleRefusal naming the first violating pair in row-major order: its
+    counts differ from those of the first pair at the same distance.
     """
     adj = g.adj
     k = len(adj[0])
@@ -132,45 +146,67 @@ def drg_oracle(g: Graph, dd: DistanceData):
                 v=v,
             )
 
-    diam = dd.diameter
-    expected = [None] * (diam + 1)
-    first_pair = [None] * (diam + 1)
-    for u in range(g.n):
-        du = dd.dist[u].tolist()
-        for v, i in enumerate(du):
-            c = a = b = 0
-            for w in adj[v]:
-                dw = du[w]
-                if dw == i - 1:
-                    c += 1
-                elif dw == i:
-                    a += 1
-                else:
-                    b += 1
-            triple = (c, a, b)
-            if expected[i] is None:
-                expected[i] = triple
-                first_pair[i] = (u, v)
-            elif expected[i] != triple:
-                which = next(
-                    name
-                    for name, old, new in zip("cab", expected[i], triple)
-                    if old != new
-                )
-                old = expected[i]["cab".index(which)]
-                new = triple["cab".index(which)]
-                return OracleRefusal(
-                    f"{which}_{i} is not constant: pair {first_pair[i]} gives "
-                    f"{old}, pair ({u}, {v}) gives {new}",
-                    u=u,
-                    v=v,
-                    distance=i,
-                )
-    return IntersectionArray(
-        b=tuple(expected[i][2] for i in range(diam)),
-        c=tuple(expected[i][0] for i in range(1, diam + 1)),
-        a=tuple(expected[i][1] for i in range(1, diam + 1)),
-    )
+    # s1 and s2 as above, in place around one work array
+    n = g.n
+    dist = dd.dist
+    work = dist.astype(float)
+    s1 = work @ g.adjacency_matrix
+    work *= work
+    s2 = work @ g.adjacency_matrix
+    work *= k
+    s2 += work
+    np.multiply(dist, s1, out=work)
+    work *= 2.0
+    s2 -= work
+    np.multiply(dist, k, out=work)
+    s1 -= work
+
+    # 2c = s2 - s1 >= 2 off the diagonal, 2b = s2 + s1 >= 0 and a = k - s2
+    # >= 0; with a + b + c = k no count then exceeds k
+    np.subtract(s2, s1, out=work)
+    impossible = (work < 0) | ((work < 2) & (dist != 0))
+    np.add(s2, s1, out=work)
+    impossible |= work < 0
+    impossible |= s2 > k
+    if impossible.any():
+        u, v = divmod(int(np.argmax(impossible)), n)
+        c, a, b = _counts(s1[u, v], s2[u, v], k)
+        raise InternalCheckError(
+            f"oracle counts are impossible at pair ({u}, {v}), distance "
+            f"{dist[u, v]}: c = {c:g}, a = {a:g}, b = {b:g} with valency {k}; "
+            "the distance matrix is wrong"
+        )
+
+    # the first pair at distance i in row-major order is in the first row
+    # whose eccentricity reaches i, at its first column at distance i
+    levels = np.arange(dd.diameter + 1)
+    rows = np.searchsorted(np.maximum.accumulate(dist.max(axis=1)), levels)
+    cols = np.argmax(dist[rows] == levels[:, None], axis=1)
+    e1, e2 = s1[rows, cols], s2[rows, cols]
+    np.take(e1, dist, out=work, mode="clip")
+    differs = s1 != work
+    np.take(e2, dist, out=work, mode="clip")
+    differs |= s2 != work
+    if differs.any():
+        u, v = divmod(int(np.argmax(differs)), n)
+        i = int(dist[u, v])
+        old = [int(x) for x in _counts(e1[i], e2[i], k)]
+        new = [int(x) for x in _counts(s1[u, v], s2[u, v], k)]
+        which = next(j for j in range(3) if old[j] != new[j])
+        return OracleRefusal(
+            f"{'cab'[which]}_{i} is not constant: pair ({rows[i]}, {cols[i]}) "
+            f"gives {old[which]}, pair ({u}, {v}) gives {new[which]}",
+            u=u,
+            v=v,
+            distance=i,
+        )
+    c, a, b = (x.astype(int).tolist() for x in _counts(e1, e2, k))
+    return IntersectionArray(b=tuple(b[:-1]), c=tuple(c[1:]), a=tuple(a[1:]))
+
+
+def _counts(s1, s2, k):
+    """(c, a, b) from s1 = b - c and s2 = b + c."""
+    return (s2 - s1) / 2, k - s2, (s2 + s1) / 2
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +281,7 @@ def analyze(
     Laplacian, its certified eigendecomposition, clustering, predistance
     system, spectral excess by both routes (r_d(0), which the
     normalization <r_d, r_d> = r_d(0) fixes, and the closed form from the
-    eigenvalues), BFS distance data, average excess, verdict, the Hoffman
+    eigenvalues), all-pairs distances, average excess, verdict, the Hoffman
     residual and, unless the verdict is not distance-regular, the identity
     residuals max|r_i(L) - A_i| (every polynomial evaluated at L by its
     recurrence at the certified eigenvalues, through the certified
@@ -259,9 +295,10 @@ def analyze(
 
     Every cross-check fails closed: a failed eigendecomposition
     certificate, a non-finite spectral quantity or residual, a disagreement
-    between the two routes, or a decisive verdict the oracle contradicts
-    raises InternalCheckError rather than returning a report that
-    contradicts the theorem.
+    between the two routes, oracle counts that no distance matrix can
+    give, or a decisive verdict the oracle contradicts raises
+    InternalCheckError rather than returning a report that contradicts the
+    theorem.
     """
     raw, vectors = eigenvalues_sym(laplacian_matrix(g), tol_eig)
     spectrum = cluster_spectrum(raw, tol_eig)
@@ -323,6 +360,8 @@ def analyze(
                 )
                 for i in range(d + 1)
             ])
+    # the oracle's n x n arrays need not stack on the spectral ones
+    del vectors, basis, hoffman
 
     oracle = None
     if run_oracle and g.n <= ORACLE_MAX_N:

@@ -7,7 +7,17 @@ import networkx as nx
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from lapexcess import DistinctSpectrum, Graph, PredistanceSystem, phi_products, theorem
+from lapexcess import (
+    DistanceData,
+    DistinctSpectrum,
+    Graph,
+    IntersectionArray,
+    OracleRefusal,
+    PredistanceSystem,
+    phi_products,
+    theorem,
+)
+from lapexcess.graphs import _hop_distances
 
 
 def trim(coeffs) -> np.ndarray:
@@ -61,6 +71,20 @@ def to_networkx(g: Graph) -> nx.Graph:
 def adjacency(g: Graph) -> np.ndarray:
     """Dense 0/1 adjacency matrix, built by networkx."""
     return nx.to_numpy_array(to_networkx(g), nodelist=range(g.n))
+
+
+def poison_distance(monkeypatch, u: int, v: int, value: int) -> None:
+    """Make theorem.distance_data return a distance matrix whose entry
+    (u, v) alone reads value; the diameter is left as computed."""
+    real = theorem.distance_data
+
+    def poisoned(g):
+        dd = real(g)
+        dist = dd.dist.copy()
+        dist[u, v] = value
+        return DistanceData(dist, dd.diameter)
+
+    monkeypatch.setattr(theorem, "distance_data", poisoned)
 
 
 def inner_product(p, q, mu) -> float:
@@ -162,6 +186,74 @@ def idempotent(lap: np.ndarray, s: DistinctSpectrum, i: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# References for the combinatorial stages: the Python loops that the
+# package ran before its distance and oracle stages became matrix products.
+# ---------------------------------------------------------------------------
+
+def reference_distances(g: Graph) -> DistanceData:
+    """All-pairs hop distances by BFS from every vertex."""
+    dist = np.empty((g.n, g.n), dtype=int)
+    for s in range(g.n):
+        dist[s] = _hop_distances(g.adj, s)
+    return DistanceData(dist, int(dist.max()))
+
+
+def reference_oracle(g: Graph, dd: DistanceData):
+    """Intersection numbers by scanning, for every ordered pair (u, v) in
+    row-major order, the neighbors of v; returns an IntersectionArray or
+    an OracleRefusal naming the first violating pair."""
+    adj = g.adj
+    k = len(adj[0])
+    for v in range(1, g.n):
+        if len(adj[v]) != k:
+            return OracleRefusal(
+                f"not regular: vertex 0 has degree {k}, vertex {v} has degree {len(adj[v])}",
+                u=0,
+                v=v,
+            )
+
+    diam = dd.diameter
+    expected = [None] * (diam + 1)
+    first_pair = [None] * (diam + 1)
+    for u in range(g.n):
+        du = dd.dist[u].tolist()
+        for v, i in enumerate(du):
+            c = a = b = 0
+            for w in adj[v]:
+                dw = du[w]
+                if dw == i - 1:
+                    c += 1
+                elif dw == i:
+                    a += 1
+                else:
+                    b += 1
+            triple = (c, a, b)
+            if expected[i] is None:
+                expected[i] = triple
+                first_pair[i] = (u, v)
+            elif expected[i] != triple:
+                which = next(
+                    name
+                    for name, old, new in zip("cab", expected[i], triple)
+                    if old != new
+                )
+                old = expected[i]["cab".index(which)]
+                new = triple["cab".index(which)]
+                return OracleRefusal(
+                    f"{which}_{i} is not constant: pair {first_pair[i]} gives "
+                    f"{old}, pair ({u}, {v}) gives {new}",
+                    u=u,
+                    v=v,
+                    distance=i,
+                )
+    return IntersectionArray(
+        b=tuple(expected[i][2] for i in range(diam)),
+        c=tuple(expected[i][0] for i in range(1, diam + 1)),
+        a=tuple(expected[i][1] for i in range(1, diam + 1)),
+    )
+
+
+# ---------------------------------------------------------------------------
 # References for the spectral stages: numpy versions that keep monomial
 # coefficients, and an exact rational one for the predistance system.
 # ---------------------------------------------------------------------------
@@ -218,24 +310,38 @@ def exact_predistance(s: DistinctSpectrum):
     With the monic q_i and c_i = q_i(0) / <q_i, q_i>, r_i = c_i q_i, so
     r_i(0) = c_i q_i(0), alpha_i is the Stieltjes shift, gamma_{i+1} =
     c_i / c_{i+1} and beta_{i-1} = c_i b_i / c_{i-1}.
+
+    The nodes are held as integers over their common power-of-two
+    denominator, and each node-value vector of q_i as integers over one
+    Fraction scale, reduced by their gcd, so every sum is an integer sum.
     """
     thetas = [Fraction(t) for t in s.thetas.tolist()]
-    w = [Fraction(m, s.n) for m in s.mults.tolist()]
+    den = math.lcm(*(t.denominator for t in thetas))
+    nodes = [t.numerator * (den // t.denominator) for t in thetas]
+    mults = s.mults.tolist()
 
-    def norm(vals):
-        return sum(c * v * v for c, v in zip(w, vals))
-
-    q_at_0, q_vals = [Fraction(1)], [[Fraction(1)] * len(thetas)]
-    norms, shifts = [norm(q_vals[0])], []
+    q_at_0, vals, scale = [Fraction(1)], [1] * len(nodes), Fraction(1)
+    prev_vals, prev_scale = [0] * len(nodes), Fraction(0)
+    norms, shifts = [], []
     for i in range(s.d + 1):
-        shifts.append(sum(c * t * v * v for c, t, v in zip(w, thetas, q_vals[i])) / norms[i])
+        # <q_i, q_i> = scale^2 / n * sum m V^2; the shift does not see scale
+        squares = [m * v * v for m, v in zip(mults, vals)]
+        total = sum(squares)
+        norms.append(scale * scale * Fraction(total, s.n))
+        shifts.append(Fraction(sum(t * x for t, x in zip(nodes, squares)), den * total))
         if i == s.d:
             break
         b = norms[i] / norms[i - 1] if i else Fraction(0)
-        prev_0, prev = (q_at_0[i - 1], q_vals[i - 1]) if i else (Fraction(0), [Fraction(0)] * len(thetas))
-        q_at_0.append(-shifts[i] * q_at_0[i] - b * prev_0)
-        q_vals.append([(t - shifts[i]) * v - b * u for t, v, u in zip(thetas, q_vals[i], prev)])
-        norms.append(norm(q_vals[-1]))
+        # b and prev_scale are 0 at i = 0, where q_{i-1} does not exist
+        q_at_0.append(-shifts[i] * q_at_0[i] - b * q_at_0[i - 1])
+        # q_{i+1} = (x - shift_i) q_i - b q_{i-1}, over one denominator
+        coeffs = (scale / den, -scale * shifts[i], -b * prev_scale)
+        common = math.lcm(*(c.denominator for c in coeffs))
+        at_x, at_v, at_u = (c.numerator * (common // c.denominator) for c in coeffs)
+        new = [at_x * t * v + at_v * v + at_u * u for t, v, u in zip(nodes, vals, prev_vals)]
+        g = math.gcd(*new)
+        prev_vals, prev_scale = vals, scale
+        vals, scale = [v // g for v in new], Fraction(g, common)
     c = [z / nrm for z, nrm in zip(q_at_0, norms)]
     at_zero = [ci * z for ci, z in zip(c, q_at_0)]
     gamma = [c[i] / c[i + 1] for i in range(s.d)]

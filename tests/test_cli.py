@@ -17,6 +17,7 @@ from helpers import (
     overflow_polynomial,
     perturb_eigenvectors,
     poison_basis,
+    poison_distance,
     poison_spectral_excess,
     shift_eigenvalues,
 )
@@ -190,6 +191,21 @@ def test_bad_eigendecomposition_exits_70(monkeypatch, capsys, perturb, command, 
     out, err = capsys.readouterr()
     assert out == ""
     assert "eigendecomposition backward error" in err
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_poisoned_distance_exits_70(monkeypatch, capsys, json_flag):
+    # petersen's vertices 0 and 1 are at distance 2.  Read as 1, that entry
+    # lowers the average excess, and the verdict would be a wrong
+    # not_distance_regular that the oracle's witness search agrees with;
+    # the oracle's counts at the pair (c_1 = 0) stop the run instead.
+    poison_distance(monkeypatch, 0, 1, 1)
+    assert main(["analyze", "--gen", "petersen", *json_flag]) == 70
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(
+        "lapexcess: internal error: oracle counts are impossible at pair (0, 1), distance 1: "
+    )
 
 
 def test_nan_in_the_json_report_exits_70(monkeypatch, capsys):

@@ -243,6 +243,17 @@ def test_laplacian_structure():
     assert np.array_equal(lap, np.diag(g.degrees()) - adjacency(g))
 
 
+def test_adjacency_matrix_is_built_once_and_read_only():
+    g = petersen_graph()
+    a = g.adjacency_matrix
+    assert a is g.adjacency_matrix
+    assert a.dtype == bool and not a.flags.writeable
+    assert np.array_equal(a, adjacency(g))
+    # a cached attribute, not a field
+    assert g == petersen_graph() and hash(g) == hash(petersen_graph())
+    assert "adjacency_matrix" not in repr(g)
+
+
 def test_matrices_match_networkx():
     rng = np.random.default_rng(1234)
     for _ in range(10):

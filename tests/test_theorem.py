@@ -1,6 +1,7 @@
 """Verdict pipeline and combinatorial oracle."""
 
 import math
+import tracemalloc
 
 import networkx as nx
 import numpy as np
@@ -14,13 +15,16 @@ from helpers import (
     poison_basis,
     poison_spectral_excess,
     random_connected_graph,
+    reference_distances,
     reference_eval_matrix,
+    reference_oracle,
     reference_predistance,
     shift_eigenvalues,
     to_networkx,
 )
 
 from lapexcess import (
+    DistanceData,
     Graph,
     IntersectionArray,
     InternalCheckError,
@@ -31,6 +35,7 @@ from lapexcess import (
     analyze,
     average_excess,
     build_document,
+    complete_bipartite_graph,
     complete_graph,
     cycle_graph,
     distance_data,
@@ -44,7 +49,7 @@ from lapexcess import (
     predistance_values,
     star_graph,
 )
-from lapexcess import theorem
+from lapexcess import graphs, theorem
 
 
 def prism_graph() -> Graph:
@@ -137,6 +142,113 @@ def test_intersection_array_validation():
         IntersectionArray(b=(3, 2), c=(1, 1), a=(0, 1))
     with pytest.raises(ValueError):
         IntersectionArray(b=(3, -2), c=(1, 1), a=(0, 4))
+
+
+@pytest.mark.parametrize("value, counts", [
+    (1, "c = 0, a = 1, b = 2"),
+    (4, "c = 12, a = -14, b = 5"),
+], ids=["c-zero", "out-of-range"])
+def test_oracle_fails_closed_on_impossible_counts(value, counts):
+    # petersen's vertices 0 and 1 are at distance 2; no true distance
+    # matrix gives these counts at that pair
+    g = petersen_graph()
+    dd = distance_data(g)
+    dist = dd.dist.copy()
+    dist[0, 1] = value
+    with pytest.raises(
+        InternalCheckError,
+        match=rf"impossible at pair \(0, 1\), distance {value}: {counts} with valency 3;",
+    ):
+        drg_oracle(g, DistanceData(dist, dd.diameter))
+
+
+# ---------------------------------------------------------------------------
+# Distances and oracle against the Python references in helpers.py
+# ---------------------------------------------------------------------------
+
+def _matches_references(g, name):
+    """Assert equal distances and an equal oracle result, witness included;
+    return the oracle result."""
+    dd, ref = distance_data(g), reference_distances(g)
+    assert dd.dist.dtype.kind == "i", name
+    assert np.array_equal(dd.dist, ref.dist), name
+    assert dd.diameter == ref.diameter, name
+    result = drg_oracle(g, dd)
+    assert result == reference_oracle(g, ref), name
+    return result
+
+
+def test_distances_and_oracle_match_references_on_the_relabelled_atlas(atlas_corpus):
+    rng = np.random.default_rng(2718)
+    for name, g in atlas_corpus:
+        _matches_references(permute_graph(g, rng.permutation(g.n)), name)
+
+
+def test_distances_and_oracle_match_references_on_random_regular_graphs():
+    # regular and mostly not distance-regular, so the oracle gets past its
+    # degree check and names a witness pair
+    rng = np.random.default_rng(1729)
+    seed = witnesses = 0
+    for _ in range(32):
+        n, k = int(rng.integers(8, 61)), int(rng.integers(3, 7))
+        n += n * k % 2
+        h = nx.random_regular_graph(k, n, seed=seed)
+        while not nx.is_connected(h):
+            seed += 1
+            h = nx.random_regular_graph(k, n, seed=seed)
+        seed += 1
+        g = permute_graph(Graph.from_edges(n, h.edges()), rng.permutation(n))
+        result = _matches_references(g, f"n={n} k={k} seed={seed - 1}")
+        witnesses += isinstance(result, OracleRefusal) and result.distance is not None
+    assert witnesses >= 30
+
+
+_NAMED = (
+    [(f"C{k}", cycle_graph(k)) for k in range(3, 13)]
+    + [("Q3", hypercube_graph(3)), ("Q4", hypercube_graph(4)), ("petersen", petersen_graph())]
+    + [(f"K{m},{m}", complete_bipartite_graph(m, m)) for m in range(1, 6)]
+    + [("n=1", Graph(1)), ("n=2", path_graph(2))]
+)
+
+
+@pytest.mark.parametrize("name, g", _NAMED, ids=[name for name, _ in _NAMED])
+def test_distances_and_oracle_match_references_on_named_graphs(name, g):
+    assert isinstance(_matches_references(g, name), IntersectionArray)
+
+
+def test_distances_in_float64_match_references(monkeypatch):
+    # past 4096 vertices the same products run in float64; the lollipop's
+    # sums of distances over a clique pass 2^11, where float16 stops being
+    # exact
+    monkeypatch.setattr(graphs, "_FLOAT32_MAX_N", 0)
+    lollipop = Graph.from_edges(400, nx.lollipop_graph(200, 200).edges())
+    for name, g in _NAMED + [("lollipop", lollipop)]:
+        _matches_references(g, name)
+
+
+def _peak_bytes(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: cycle_graph(128),
+    lambda: hypercube_graph(10),
+    lambda: complete_bipartite_graph(300, 300),
+], ids=["C128", "Q10", "K300,300"])
+def test_distance_and_oracle_peaks_stay_within_five_n_by_n_arrays(make):
+    # about the peak of eigenvalues_sym, so neither stage raises the
+    # process peak; each graph is fresh, so its adjacency matrix is built
+    # inside the stage and counted
+    g = make()
+    bound = 5 * 8 * g.n**2
+    dd = distance_data(g)
+    assert _peak_bytes(distance_data, make()) <= bound
+    assert _peak_bytes(drg_oracle, make(), dd) <= bound
 
 
 # ---------------------------------------------------------------------------

@@ -154,11 +154,6 @@ def _parser() -> argparse.ArgumentParser:
             "(default %(default)g)"
         ),
     )
-    p_analyze.add_argument(
-        "--no-oracle",
-        action="store_true",
-        help="skip the combinatorial intersection-number cross-check",
-    )
     p_analyze.set_defaults(func=_cmd_analyze)
 
     p_spectrum = sub.add_parser(
@@ -225,12 +220,7 @@ def _load_graph(args) -> Graph:
 
 def _cmd_analyze(args) -> int:
     g = _load_graph(args)
-    analysis = analyze(
-        g,
-        tol_eig=args.tol_eig,
-        tol_eq=args.tol_eq,
-        run_oracle=not args.no_oracle,
-    )
+    analysis = analyze(g, tol_eig=args.tol_eig, tol_eq=args.tol_eq)
     doc = build_document(analysis)
     sys.stdout.write(dumps(doc) + "\n" if args.json else render_text(doc))
     return _VERDICT_EXIT[analysis.verdict]

@@ -1,9 +1,10 @@
 """Graph representation, parsing, deterministic generators, and combinatorics.
 
 Graphs are finite, simple, undirected, and connected, with vertices labeled
-by the dense integers 0..n-1.  Connectivity is enforced at construction time
-because everything downstream (the Laplacian spectrum having a simple zero
-eigenvalue, the predistance machinery) assumes it.
+by the dense integers 0..n-1.  Connectivity is enforced at construction time,
+by union-find over the edges, because everything downstream (the Laplacian
+spectrum having a simple zero eigenvalue, the predistance machinery,
+Seidel's distances) assumes it.
 
 All types are immutable after construction (a graph's adjacency matrix is
 built on first use, read-only) and every function is pure, so values can
@@ -43,15 +44,13 @@ class Graph:
     or one of the generators; direct construction validates but does not
     normalize.
 
-    ``adj`` is derived from ``edges`` at construction: one sorted tuple of
-    neighbors per vertex.  ``adjacency_matrix``, the dense boolean matrix,
-    is built from ``edges`` on first use and then kept.  Neither takes
-    part in equality, hashing or repr.
+    ``edges`` is the only stored view of the edge set.  The dense boolean
+    ``adjacency_matrix`` is built from it on first use and then kept; it
+    takes no part in equality, hashing or repr.
     """
 
     n: int
     edges: frozenset = field(default_factory=frozenset)
-    adj: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -66,14 +65,8 @@ class Graph:
                 )
         # fewer than n - 1 edges cannot connect n vertices; checking that
         # first keeps a huge declared n from costing O(n) memory
-        if len(self.edges) >= self.n - 1:
-            adj = [[] for _ in range(self.n)]
-            for u, v in self.edges:
-                adj[u].append(v)
-                adj[v].append(u)
-            object.__setattr__(self, "adj", tuple(tuple(sorted(a)) for a in adj))
-            if -1 not in _hop_distances(self.adj, 0):
-                return
+        if len(self.edges) >= self.n - 1 and _joins(self.n, self.edges) == self.n - 1:
+            return
         raise DisconnectedGraphError(
             f"graph on {self.n} vertices with {len(self.edges)} edges "
             "is not connected"
@@ -103,7 +96,7 @@ class Graph:
 
     def degrees(self) -> np.ndarray:
         """Vertex degrees as an integer array of length n."""
-        return np.array([len(a) for a in self.adj], dtype=int)
+        return self.adjacency_matrix.sum(axis=1)
 
     @cached_property
     def adjacency_matrix(self) -> np.ndarray:
@@ -120,19 +113,20 @@ class Graph:
         return a
 
 
-def _hop_distances(adj, s: int) -> list:
-    """Hop distance from s to every vertex, -1 where unreachable."""
-    # BFS on a Python row; order grows while the loop scans it
-    row = [-1] * len(adj)
-    row[s] = 0
-    order = [s]
-    for x in order:
-        dx = row[x] + 1
-        for y in adj[x]:
-            if row[y] < 0:
-                row[y] = dx
-                order.append(y)
-    return row
+def _joins(n: int, edges) -> int:
+    """How many edges join two components, by union-find with path
+    halving; the graph is connected exactly when that is n - 1."""
+    parent = list(range(n))
+    joins = 0
+    for u, v in edges:
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u != v:
+            parent[u] = v
+            joins += 1
+    return joins
 
 
 # ---------------------------------------------------------------------------

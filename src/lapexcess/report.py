@@ -79,8 +79,6 @@ def spectrum_document(g, raw, spectrum, phis) -> dict:
 
 def _oracle_document(analysis: Analysis) -> dict:
     res = analysis.oracle
-    if res is None:
-        return {"ran": False}
     if isinstance(res, IntersectionArray):
         return {
             "ran": True,
@@ -198,9 +196,7 @@ def render_text(doc: dict) -> str:
         f"not regular (degrees {g['degree_min']}..{g['degree_max']}, "
         f"mean {_fmt(g['degree_mean'])})"
     )
-    if not oracle["ran"]:
-        oracle_line = "not run"
-    elif oracle["distance_regular"]:
+    if oracle["distance_regular"]:
         oracle_line = (
             "distance-regular with intersection array "
             + oracle["intersection_array"]["notation"]

@@ -14,8 +14,8 @@ Because equality of two floats is the hinge, the verdict is three-way:
 ``inconclusive`` in the gray zone between.  A significantly negative gap is
 impossible mathematically and is reported as an internal error, as is any
 disagreement with the combinatorial oracle (the intersection numbers read
-off the distance matrix), which double-checks decisive verdicts up to
-``ORACLE_MAX_N`` vertices.
+off the distance matrix), which runs on every graph and double-checks
+every decisive verdict.
 """
 
 from __future__ import annotations
@@ -45,10 +45,6 @@ from .orthopoly import (
 )
 
 DEFAULT_EQUALITY_TOL = 1e-6
-
-# The intersection-number oracle costs two n x n products and holds about
-# five n x n float arrays; past this size it is skipped.
-ORACLE_MAX_N = 2000
 
 
 class MisclusteredSpectrumError(RuntimeError):
@@ -136,12 +132,13 @@ def drg_oracle(g: Graph, dd: DistanceData):
     OracleRefusal naming the first violating pair in row-major order: its
     counts differ from those of the first pair at the same distance.
     """
-    adj = g.adj
-    k = len(adj[0])
-    for v in range(1, g.n):
-        if len(adj[v]) != k:
+    # a Python scan costs less than numpy's reductions on the small graphs
+    # that make up most inputs
+    k, *rest = g.degrees().tolist()
+    for v, deg in enumerate(rest, start=1):
+        if deg != k:
             return OracleRefusal(
-                f"not regular: vertex 0 has degree {k}, vertex {v} has degree {len(adj[v])}",
+                f"not regular: vertex 0 has degree {k}, vertex {v} has degree {deg}",
                 u=0,
                 v=v,
             )
@@ -264,7 +261,7 @@ class Analysis:
     relative_gap: float
     verdict: Verdict
     identity_residuals: np.ndarray | None
-    oracle: IntersectionArray | OracleRefusal | None
+    oracle: IntersectionArray | OracleRefusal
     tol_eig: float
     tol_eq: float
 
@@ -274,7 +271,6 @@ def analyze(
     *,
     tol_eig: float = DEFAULT_CLUSTER_TOL,
     tol_eq: float = DEFAULT_EQUALITY_TOL,
-    run_oracle: bool = True,
 ) -> Analysis:
     """Run the full pipeline on a connected graph.
 
@@ -285,8 +281,7 @@ def analyze(
     residual and, unless the verdict is not distance-regular, the identity
     residuals max|r_i(L) - A_i| (every polynomial evaluated at L by its
     recurrence at the certified eigenvalues, through the certified
-    eigenbasis), and (when enabled and the graph has at most ORACLE_MAX_N
-    vertices) the combinatorial oracle.
+    eigenbasis), and the combinatorial oracle, which runs on every graph.
 
     On a not-distance-regular verdict ``identity_residuals`` is None:
     r_i(L) = A_i holds for every i exactly when the graph is
@@ -363,19 +358,17 @@ def analyze(
     # the oracle's n x n arrays need not stack on the spectral ones
     del vectors, basis, hoffman
 
-    oracle = None
-    if run_oracle and g.n <= ORACLE_MAX_N:
-        oracle = drg_oracle(g, dd)
-        if verdict is Verdict.DISTANCE_REGULAR and isinstance(oracle, OracleRefusal):
-            raise InternalCheckError(
-                "spectral verdict says distance-regular but the "
-                f"combinatorial oracle refused: {oracle.reason}"
-            )
-        if verdict is Verdict.NOT_DISTANCE_REGULAR and isinstance(oracle, IntersectionArray):
-            raise InternalCheckError(
-                "spectral verdict says not distance-regular but the "
-                f"combinatorial oracle found intersection array {oracle}"
-            )
+    oracle = drg_oracle(g, dd)
+    if verdict is Verdict.DISTANCE_REGULAR and isinstance(oracle, OracleRefusal):
+        raise InternalCheckError(
+            "spectral verdict says distance-regular but the "
+            f"combinatorial oracle refused: {oracle.reason}"
+        )
+    if verdict is Verdict.NOT_DISTANCE_REGULAR and isinstance(oracle, IntersectionArray):
+        raise InternalCheckError(
+            "spectral verdict says not distance-regular but the "
+            f"combinatorial oracle found intersection array {oracle}"
+        )
 
     return Analysis(
         graph=g,

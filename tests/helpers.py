@@ -17,7 +17,6 @@ from lapexcess import (
     phi_products,
     theorem,
 )
-from lapexcess.graphs import _hop_distances
 
 
 def trim(coeffs) -> np.ndarray:
@@ -190,11 +189,37 @@ def idempotent(lap: np.ndarray, s: DistinctSpectrum, i: int) -> np.ndarray:
 # package ran before its distance and oracle stages became matrix products.
 # ---------------------------------------------------------------------------
 
+def neighbors(g: Graph) -> list:
+    """One sorted list of neighbors per vertex, read off ``g.edges``."""
+    adj = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return [sorted(a) for a in adj]
+
+
+def hop_distances(adj, s: int) -> list:
+    """Hop distance from s to every vertex of the neighbor lists adj, -1
+    where unreachable."""
+    # BFS on a Python row; order grows while the loop scans it
+    row = [-1] * len(adj)
+    row[s] = 0
+    order = [s]
+    for x in order:
+        dx = row[x] + 1
+        for y in adj[x]:
+            if row[y] < 0:
+                row[y] = dx
+                order.append(y)
+    return row
+
+
 def reference_distances(g: Graph) -> DistanceData:
     """All-pairs hop distances by BFS from every vertex."""
+    adj = neighbors(g)
     dist = np.empty((g.n, g.n), dtype=int)
     for s in range(g.n):
-        dist[s] = _hop_distances(g.adj, s)
+        dist[s] = hop_distances(adj, s)
     return DistanceData(dist, int(dist.max()))
 
 
@@ -202,7 +227,7 @@ def reference_oracle(g: Graph, dd: DistanceData):
     """Intersection numbers by scanning, for every ordered pair (u, v) in
     row-major order, the neighbors of v; returns an IntersectionArray or
     an OracleRefusal naming the first violating pair."""
-    adj = g.adj
+    adj = neighbors(g)
     k = len(adj[0])
     for v in range(1, g.n):
         if len(adj[v]) != k:

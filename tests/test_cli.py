@@ -39,8 +39,17 @@ def run_main(argv, stdin_text=None, monkeypatch=None):
 def test_verdict_exit_codes(capsys):
     assert main(["analyze", "--gen", "petersen"]) == 0
     assert main(["analyze", "--gen", "path:4"]) == 1
-    assert main(["analyze", "--gen", "path:4", "--tol-eq", "0.1", "--no-oracle"]) == 2
+    # the oracle audits decisive verdicts only, so a gray-zone verdict exits 2
+    assert main(["analyze", "--gen", "path:4", "--tol-eq", "0.1"]) == 2
     capsys.readouterr()
+
+
+def test_sloppy_tolerance_exits_70(capsys):
+    # tol_eq = 0.5 would call path(4) distance-regular; the oracle refuses
+    assert main(["analyze", "--gen", "path:4", "--tol-eq", "0.5"]) == 70
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "combinatorial oracle refused" in captured.err
 
 
 def test_usage_errors(capsys):
@@ -59,6 +68,10 @@ def test_argparse_failures_exit_64(capsys):
     assert exc.value.code == 64
     with pytest.raises(SystemExit) as exc:
         main(["analyze", "--gen", "path:4", "--tol-eig", "0"])
+    assert exc.value.code == 64
+    # the oracle cannot be switched off
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--gen", "petersen", "--no-oracle"])
     assert exc.value.code == 64
     capsys.readouterr()
 
@@ -88,9 +101,18 @@ def test_non_utf8_stdin_exits_64():
 
 def test_disconnected_exits_65(tmp_path, capsys):
     target = tmp_path / "two_parts.txt"
-    target.write_text("0 1\n2 3\n")
-    assert main(["analyze", str(target)]) == 65
-    assert "not connected" in capsys.readouterr().err
+    # the last two have at least n - 1 edges, so the traversal decides: a
+    # triangle and an isolated vertex, and K_4 and K_3
+    for text in (
+        "0 1\n2 3\n",
+        "n 4\n0 1\n0 2\n1 2\n",
+        "0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n4 5\n4 6\n5 6\n",
+    ):
+        target.write_text(text)
+        assert main(["analyze", str(target)]) == 65
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not connected" in captured.err
 
 
 def test_merged_zero_eigenvalue_exits_70_and_names_the_tolerance(capsys):
@@ -299,12 +321,6 @@ def test_text_and_json_verdicts_agree(capsys):
         assert f"verdict: {doc['excess']['verdict']}" in text_out
 
 
-def test_no_oracle_flag(capsys):
-    assert main(["analyze", "--gen", "petersen", "--json", "--no-oracle"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["oracle"] == {"ran": False}
-
-
 def test_spectrum_command(capsys):
     assert main(["spectrum", "--gen", "cycle:4"]) == 0
     out = capsys.readouterr().out
@@ -354,7 +370,7 @@ def test_calls_in_one_process_match_fresh_processes(monkeypatch, capsys):
     # defaults or failure of the one before it
     monkeypatch.setenv("COLUMNS", "80")  # same usage-line wrapping in both
     calls = [
-        (["analyze", "--gen", "petersen", "--no-oracle", "--json"], 0),
+        (["analyze", "--gen", "petersen", "--tol-eq", "1e-3", "--json"], 0),
         (["analyze", "--gen", "path:4", "--bogus"], 64),
         (["analyze", "--gen", "path:4", "--json"], 1),
     ]
@@ -372,5 +388,8 @@ def test_calls_in_one_process_match_fresh_processes(monkeypatch, capsys):
         )
         assert fresh.returncode == want
         assert got == (want, fresh.stdout, fresh.stderr)
-    assert json.loads(in_process[0][1])["oracle"] == {"ran": False}
-    assert json.loads(in_process[2][1])["oracle"]["ran"] is True
+    first, last = json.loads(in_process[0][1]), json.loads(in_process[2][1])
+    assert first["tolerances"]["equality"] == 1e-3
+    assert last["tolerances"]["equality"] == 1e-6
+    assert first["oracle"]["ran"] is True
+    assert last["oracle"]["ran"] is True

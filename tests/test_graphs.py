@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import adjacency, random_connected_graph, to_networkx
+from helpers import adjacency, neighbors, random_connected_graph, to_networkx
 
 import networkx as nx
 from lapexcess import (
@@ -69,6 +69,35 @@ def test_disconnected_rejected():
         Graph.from_edges(4, [(0, 1), (2, 3)])
     with pytest.raises(DisconnectedGraphError):
         Graph.from_edges(2, [])
+    # at least n - 1 edges pass the edge-count guard, so the traversal
+    # decides: a triangle and an isolated vertex, and K_4 and K_3
+    with pytest.raises(DisconnectedGraphError):
+        Graph.from_edges(4, [(0, 1), (0, 2), (1, 2)])
+    k4_and_k3 = [(u, v) for part in (range(4), range(4, 7)) for u in part for v in part if u < v]
+    with pytest.raises(DisconnectedGraphError):
+        Graph.from_edges(7, k4_and_k3)
+
+
+def test_connectivity_matches_networkx():
+    # random graphs on 2 to 16 vertices with n - 1 to 2n edges; 79 of the
+    # 300 are disconnected
+    rng = np.random.default_rng(2718)
+    seen = set()
+    for _ in range(300):
+        n = int(rng.integers(2, 17))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        m = int(rng.integers(n - 1, min(2 * n, len(pairs)) + 1))
+        edges = [pairs[i] for i in rng.choice(len(pairs), size=m, replace=False)]
+        h = nx.Graph(edges)
+        h.add_nodes_from(range(n))
+        connected = nx.is_connected(h)
+        seen.add(connected)
+        if connected:
+            assert Graph.from_edges(n, edges).edge_count == m
+        else:
+            with pytest.raises(DisconnectedGraphError):
+                Graph.from_edges(n, edges)
+    assert seen == {True, False}
 
 
 def test_vertex_count_positive():
@@ -85,8 +114,10 @@ def test_single_vertex_graph():
 
 def test_degrees_and_neighbors():
     g = path_graph(4)
-    assert list(g.degrees()) == [1, 2, 2, 1]
-    assert g.adj == ((1,), (0, 2), (1, 3), (2,))
+    assert g.degrees().tolist() == [1, 2, 2, 1]
+    assert [np.flatnonzero(row).tolist() for row in g.adjacency_matrix] == [
+        [1], [0, 2], [1, 3], [2],
+    ]
     assert set(cycle_graph(5).degrees().tolist()) == {2}
 
 
@@ -272,7 +303,7 @@ def test_distance_data_matches_networkx():
     for g in graphs:
         dd = distance_data(g)
         h = to_networkx(g)
-        assert g.adj == tuple(tuple(sorted(h[v])) for v in range(g.n))
+        assert neighbors(g) == [sorted(h[v]) for v in range(g.n)]
         lengths = dict(nx.all_pairs_shortest_path_length(h))
         for u in range(g.n):
             for v in range(g.n):

@@ -228,11 +228,6 @@ def test_document_refusal_branch():
     assert "not regular" in oracle["refusal"]["reason"]
 
 
-def test_document_no_oracle_branch():
-    doc = build_document(analyze(path_graph(4), run_oracle=False))
-    assert doc["oracle"] == {"ran": False}
-
-
 # ---------------------------------------------------------------------------
 # Text rendering
 # ---------------------------------------------------------------------------

@@ -265,7 +265,6 @@ def test_petersen_report():
     assert np.all(theorem.per_vertex_excess(rep.distances, 2) == 6)
     assert build_document(rep)["excess"]["per_vertex"] == [6] * 10
     assert np.max(rep.identity_residuals) <= 1e-8
-    assert rep.oracle is not None
     assert rep.oracle.b == (3, 2)
 
 
@@ -321,22 +320,10 @@ def test_relabeling_invariance():
             assert np.isclose(rep.spectral_excess, ref.spectral_excess, atol=1e-9)
 
 
-def test_no_oracle_flag():
-    a = analyze(petersen_graph(), run_oracle=False)
-    assert a.oracle is None
-    assert a.verdict is Verdict.DISTANCE_REGULAR
-
-
-def test_oracle_size_cap(monkeypatch):
-    monkeypatch.setattr(theorem, "ORACLE_MAX_N", 5)
-    a = analyze(petersen_graph())
-    assert a.oracle is None
-
-
 def test_gray_zone_is_inconclusive():
     # path(4) has relative gap 0.375; a tolerance of 0.1 puts it between
     # tol and 10*tol
-    rep = analyze(path_graph(4), tol_eq=0.1, run_oracle=False)
+    rep = analyze(path_graph(4), tol_eq=0.1)
     assert rep.verdict is Verdict.INCONCLUSIVE
 
 
@@ -345,8 +332,6 @@ def test_sloppy_tolerance_trips_oracle_audit():
     # disagrees and the pipeline must refuse to return the report
     with pytest.raises(InternalCheckError):
         analyze(path_graph(4), tol_eq=0.5)
-    rep = analyze(path_graph(4), tol_eq=0.5, run_oracle=False)
-    assert rep.verdict is Verdict.DISTANCE_REGULAR  # unaudited, by request
 
 
 def test_corpus_structural_invariants(analyzed_corpus):

@@ -150,20 +150,32 @@ def phi_products(s: DistinctSpectrum) -> np.ndarray:
     phi_i = prod_{j != i} (theta_i - theta_j).
 
     Signs alternate as (-1)^(d-i) because the values are strictly
-    increasing.  d = 0 gives the empty product [1].  The product runs left
-    to right; whenever it leaves [2^-512, 2^512] its binary exponent is
-    carried aside (math.frexp), so no partial product overflows.  Scaling
-    by powers of two is exact, so the bits are those of the plain product
-    wherever that stays normal.
+    increasing.  d = 0 gives the empty product [1].  All d + 1 products
+    run left to right at once, as one reduction of the gap matrix, with
+    1.0 on its diagonal, over blocks of rows.  After each block np.frexp
+    splits every partial product into a mantissa in [1/2, 1), which starts
+    the next block, and a binary exponent, which is carried aside.  A
+    block is short enough that a mantissa times that many gaps, each of
+    magnitude in [min(1, min_gap), max(1, theta_max)], stays in the normal
+    range, so no partial product overflows or underflows.  Scaling by
+    powers of two is exact, so the bits are those of the plain product
+    wherever that stays normal.  A phi_i beyond the float range raises
+    OverflowError.
     """
-    thetas = s.thetas.tolist()
-    phis = []
-    for i, t in enumerate(thetas):
-        acc, exp = 1.0, 0
-        for u in thetas[:i] + thetas[i + 1 :]:
-            acc *= t - u
-            if not 2.0**-512 < abs(acc) < 2.0**512:
-                acc, e = math.frexp(acc)
-                exp += e
-        phis.append(math.ldexp(acc, exp))
-    return np.array(phis)
+    # gaps[j, i] = theta_i - theta_j: a block of rows is contiguous, and
+    # reducing it down its columns multiplies every product at once
+    gaps = s.thetas - s.thetas[:, None]
+    gaps.flat[:: len(gaps) + 1] = 1.0
+    # a start of magnitude in [2^-1, 1] times `step` factors of magnitude
+    # in [2^(low - 1), 2^high) stays in [2^-1022, 2^1021]
+    low = math.frexp(gaps.diagonal(1).min(initial=1.0))[1]
+    high = math.frexp(max(1.0, s.thetas[-1]))[1]
+    step = 1021 // max(high, 1 - low)
+    phis, exps = np.frexp(np.multiply.reduce(gaps[:step]))
+    for start in range(step, len(gaps), step):
+        gaps[start] *= phis
+        phis, e = np.frexp(np.multiply.reduce(gaps[start : start + step]))
+        exps += e
+    # math.ldexp raises OverflowError on a phi_i past the float range,
+    # where np.ldexp would return inf for the text report to print
+    return np.array([math.ldexp(m, e) for m, e in zip(phis.tolist(), exps.tolist())])

@@ -29,7 +29,9 @@ the degree nears the node count; Gautschi, section 2.2.3).  It holds one
 absolute error near rounding level however small p_i(0) is.
 
 ``eval_matrix`` evaluates at a symmetric matrix through its
-eigendecomposition, one n x n product per polynomial.  The residual checks
+eigendecomposition, one n x n product per polynomial, and returns that
+product as it is, without symmetrizing it, so that a residual costs about
+its matrix multiply and one pass to compare it.  The residual checks
 cost d + 2 products (the Hoffman polynomial and r_0..r_d) on a
 distance-regular or inconclusive verdict, and 1 (the Hoffman polynomial
 alone) on a not-distance-regular one.
@@ -76,13 +78,15 @@ def eval_matrix(c, basis) -> np.ndarray:
 
     The result is V diag(p(lam)) V^T (Higham, *Functions of Matrices*,
     2008, section 4.5), p(lam) = c @ R[:len(c)], so a call costs one n x n
-    product whatever the degree of p.  The exact result is symmetric; the
-    product strays by rounding only, so the output is symmetrized.
+    product whatever the degree of p and nothing besides.  The exact result
+    is symmetric; the raw product strays from symmetry by rounding only and
+    is returned as it is.  For a symmetric target T, max|X - T| on the raw
+    product X is never below max|(X + X^T)/2 - T|, so a residual read from
+    it is at least as strict.
     """
     values, v = basis
     c = np.asarray(c, dtype=float)
-    out = (v * (c @ values[: len(c)])) @ v.T
-    return (out + out.T) / 2.0
+    return (v * (c @ values[: len(c)])) @ v.T
 
 
 # ---------------------------------------------------------------------------

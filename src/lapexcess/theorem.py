@@ -235,8 +235,11 @@ def average_excess(dd: DistanceData, d: int) -> float:
 
 def _residual(name: str, value: np.ndarray, target) -> float:
     """max |value - target|, raising InternalCheckError when it is not
-    finite."""
-    r = float(np.abs(value - target).max())
+    finite.  value is overwritten with the difference, so the comparison
+    allocates no n x n temporary; a NaN or an infinity in it still reaches
+    the finiteness check."""
+    np.subtract(value, target, out=value)
+    r = max(float(value.max()), -float(value.min()))
     if not math.isfinite(r):
         raise InternalCheckError(f"{name} is not finite: {r!r}")
     return r

@@ -384,14 +384,22 @@ def max_relative_error(got, exact) -> float:
 
 
 def reference_phi_products(thetas: np.ndarray) -> np.ndarray:
-    """phi_i = prod_{j != i} (theta_i - theta_j), accumulated in an array."""
-    k = len(thetas)
-    phis = np.ones(k)
-    for i in range(k):
-        for j in range(k):
-            if j != i:
-                phis[i] *= thetas[i] - thetas[j]
-    return phis
+    """phi_i = prod_{j != i} (theta_i - theta_j), one Python float product
+    per i, left to right, the loop the package ran before its blocked numpy
+    reduction.  Whenever a partial product leaves [2^-512, 2^512] its
+    binary exponent is carried aside (math.frexp), so the bits are those
+    of the plain product wherever that stays normal."""
+    thetas = thetas.tolist()
+    phis = []
+    for i, t in enumerate(thetas):
+        acc, exp = 1.0, 0
+        for u in thetas[:i] + thetas[i + 1 :]:
+            acc *= t - u
+            if not 2.0**-512 < abs(acc) < 2.0**512:
+                acc, e = math.frexp(acc)
+                exp += e
+        phis.append(math.ldexp(acc, exp))
+    return np.array(phis)
 
 
 def reference_hoffman(mu, n: int) -> np.ndarray:

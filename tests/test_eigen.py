@@ -327,6 +327,28 @@ def test_phi_products_match_reference_bitwise(atlas_corpus):
         assert phi_products(s).tobytes() == reference_phi_products(s.thetas).tobytes(), g
 
 
+def test_phi_products_match_reference_bitwise_across_blocks():
+    # Spectra that need several blocks of the reduction: the path:1500
+    # spectrum (closed form, no eigensolve), whose partial products pass
+    # 1e308, and gaps near 1e-200, where two gaps in a row underflow.
+    # Each block must continue from the previous block's mantissa; a
+    # block started afresh rounds differently.
+    n = 1500
+    spectra = [2.0 - 2.0 * np.cos(np.pi * np.arange(n) / n)]
+    spectra.append(np.concatenate([[0.0], 1e-200 * np.arange(1, 6), [1.0, 2.0, 3.5]]))
+    for thetas in spectra:
+        s = DistinctSpectrum(thetas, np.ones(len(thetas), dtype=int))
+        assert phi_products(s).tobytes() == reference_phi_products(thetas).tobytes()
+
+
+def test_phi_past_the_float_range_raises():
+    # phi_200 of 0, 1, ..., 400 is -(200!)^2, about 1e749: it must fail
+    # closed, not come back as inf (spectrum's text report would print it)
+    s = DistinctSpectrum(np.arange(401.0), np.ones(401, dtype=int))
+    with pytest.raises(OverflowError):
+        phi_products(s)
+
+
 def test_phi_single_eigenvalue():
     s = DistinctSpectrum(np.array([0.0]), np.array([1]))
     assert np.array_equal(phi_products(s), [1.0])

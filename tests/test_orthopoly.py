@@ -83,7 +83,8 @@ def test_eval_matrix_symmetric():
     got = eval_matrix(c, (predistance_values(predistance_system(mu), lam), v))
     p = P.polyadd(P.polyadd(2.0 * polys[0], -1.0 * polys[1]), 0.5 * polys[2])
     assert np.allclose(got, reference_eval_matrix(p, lap))
-    assert np.array_equal(got, got.T)
+    # the raw product, not symmetrized: symmetric up to rounding
+    assert np.abs(got - got.T).max() <= 4 * g.n * np.finfo(float).eps * np.abs(got).max()
 
 
 def test_eval_empty_polynomial_is_zero():

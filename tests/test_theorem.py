@@ -518,6 +518,30 @@ def test_residuals_share_one_eigendecomposition(monkeypatch):
         assert [x.tobytes() for x in evaluated_at] == [a.raw_eigenvalues.tobytes()]
 
 
+def test_residuals_read_the_raw_product():
+    # Each reported residual is max|X - T| on the unsymmetrized product
+    # X = V diag(p(lambda)) V^T.  T is symmetric, so that is never below the
+    # residual of (X + X^T) / 2, and on cycle:128 some are strictly above.
+    above = 0
+    for g in (cycle_graph(128), path_graph(128), hypercube_graph(6), petersen_graph()):
+        a = analyze(g)
+        lam, v = eigenvalues_sym(laplacian_matrix(g))
+        values = predistance_values(a.system, lam)
+        checks = [(a.hoffman_residual, np.ones(a.spectrum.d + 1), 1.0)]
+        if a.identity_residuals is not None:
+            checks += [
+                (r, np.eye(1, i + 1, i)[0], a.distances.dist == i)
+                for i, r in enumerate(a.identity_residuals.tolist())
+            ]
+        for got, c, target in checks:
+            x = (v * (c @ values[: len(c)])) @ v.T
+            assert got == np.abs(x - target).max(), g
+            symmetrized = np.abs((x + x.T) / 2.0 - target).max()
+            assert got >= symmetrized, g
+            above += got > symmetrized
+    assert above > 0
+
+
 def test_cycle_400_is_distance_regular():
     # d = 200: about 1 s, and no overflow warning (the suite turns warnings
     # into errors)

@@ -28,12 +28,12 @@ def test_digest_pins_the_bytes(capsys):
     # the 2988 atlas calls included (about 3 s).
     assert _load_digest().main([]) == 0
     assert capsys.readouterr().out.splitlines() == [
-        "atlas        49e554e597e772f0be26ebca3503b1618871ccea2ef30044b3fb25d4915fa187  (2988 calls)",
-        "cycle:128    8f7ecf5b69b746983f806ac7f97abdd84e0a8d5eb3369f8b5242b86c2115cf93  (4 calls)",
+        "atlas        4756ee009de6e3acd5cba9355fa4ef362fed2ff6dfc960e47adc41f0b824b7fa  (2988 calls)",
+        "cycle:128    97e718f095ffd3376a761591d0341a7cd559b4b211175810bca987fe0d647c7d  (4 calls)",
         "path:128     4d06a79284c6de9ed8c69400dd675a87a682b836a8e152524adf0524e56753c0  (4 calls)",
-        "hypercube:6  742a2be8ff593f4a650f2b1e4d9570f5853dda95d52a98bbb4d5d8fc236dcd0b  (4 calls)",
+        "hypercube:6  fd7cce2ff6590cc36a32f77b2c19b599e8d81331c9775ee977ce57268080cb69  (4 calls)",
         "petersen     e2da3653b013804158e205b1c5e13f1cfe10970872bca2040f29eb5356fae2f8  (4 calls)",
-        "all          5f3ba315e79475c9dfa0aef4603ec643d80142fcb75668233d35ac4e8264b7ec",
+        "all          144c08d683297399d449710f2b8646c72d2a0c5d4b8412e9f2144cfb6053221c",
     ]
 
 

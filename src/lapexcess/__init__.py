@@ -15,7 +15,7 @@ __version__ = "0.1.0"
 from .eigen import (
     DEFAULT_CLUSTER_TOL,
     DistinctSpectrum,
-    SpectrumClusterError,
+    InternalCheckError,
     cluster_spectrum,
     eigenvalues_sym,
     phi_products,
@@ -42,7 +42,6 @@ from .graphs import (
     star_graph,
 )
 from .orthopoly import (
-    OrthopolyBreakdownError,
     PredistanceSystem,
     SpectralMeasure,
     eval_matrix,
@@ -53,9 +52,7 @@ from .orthopoly import (
 from .theorem import (
     DEFAULT_EQUALITY_TOL,
     Analysis,
-    InternalCheckError,
     IntersectionArray,
-    MisclusteredSpectrumError,
     OracleRefusal,
     Verdict,
     analyze,
@@ -79,12 +76,9 @@ __all__ = [
     "GraphInputError",
     "InternalCheckError",
     "IntersectionArray",
-    "MisclusteredSpectrumError",
     "OracleRefusal",
-    "OrthopolyBreakdownError",
     "PredistanceSystem",
     "SpectralMeasure",
-    "SpectrumClusterError",
     "Verdict",
     "analyze",
     "average_excess",

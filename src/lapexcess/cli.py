@@ -12,9 +12,10 @@ verdict on success:
     2   inconclusive
     64  unusable input: bad flags, malformed edge list, unknown family
     65  the graph is not connected
-    70  internal failure: a failed eigendecomposition certificate, a
-        misclustered spectrum, a violated invariant, or any other unexpected
-        exception (LAPACK non-convergence, a JSON value that is not finite)
+    70  internal failure: an InternalCheckError (a failed eigendecomposition
+        certificate, a misclustered spectrum, a violated invariant), or any
+        other unexpected exception (LAPACK non-convergence, a JSON value
+        that is not finite)
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import sys
 
 from .eigen import (
     DEFAULT_CLUSTER_TOL,
-    SpectrumClusterError,
+    InternalCheckError,
     cluster_spectrum,
     eigenvalues_sym,
     phi_products,
@@ -41,7 +42,6 @@ from .graphs import (
     laplacian_matrix,
     parse_edge_list,
 )
-from .orthopoly import OrthopolyBreakdownError
 from .report import (
     build_document,
     dumps,
@@ -51,8 +51,6 @@ from .report import (
 )
 from .theorem import (
     DEFAULT_EQUALITY_TOL,
-    InternalCheckError,
-    MisclusteredSpectrumError,
     Verdict,
     analyze,
 )
@@ -227,8 +225,9 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    # Deliberately stops after clustering so the spectrum stays inspectable
-    # even when a later pipeline stage would fail.
+    # Runs the eigensolver, the clustering and the phi products alone, so a
+    # failure in a later stage of analyze does not stop it; a failure in
+    # one of these three still exits 70.
     g = _load_graph(args)
     raw, _ = eigenvalues_sym(laplacian_matrix(g), args.tol_eig)
     spectrum = cluster_spectrum(raw, args.tol_eig)
@@ -253,12 +252,7 @@ def main(argv=None) -> int:
     except (_UsageError, GraphInputError) as exc:
         print(f"lapexcess: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (
-        SpectrumClusterError,
-        OrthopolyBreakdownError,
-        MisclusteredSpectrumError,
-        InternalCheckError,
-    ) as exc:
+    except InternalCheckError as exc:
         print(f"lapexcess: internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except Exception as exc:

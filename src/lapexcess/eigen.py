@@ -18,14 +18,10 @@ import numpy as np
 DEFAULT_CLUSTER_TOL = 1e-8
 
 
-class SpectrumClusterError(ValueError):
-    """The clustered spectrum is not a valid connected-graph Laplacian
-    spectrum (zero eigenvalue missing or repeated, or a negative value)."""
-
-
 class InternalCheckError(RuntimeError):
     """A quantity violated a theorem that cannot fail, so the computation
-    itself is wrong (bad clustering, lost precision, or a bug)."""
+    itself is wrong (bad clustering, lost precision, or a bug).  Every
+    such check in the package raises this one type."""
 
 
 def absolute_tol(raw, tol: float) -> float:
@@ -98,10 +94,11 @@ def cluster_spectrum(raw: np.ndarray, tol: float = DEFAULT_CLUSTER_TOL) -> Disti
     then validated as the simple zero eigenvalue of a connected Laplacian
     and snapped to exactly 0.
 
-    Raises :class:`SpectrumClusterError` when the smallest cluster holds
+    Raises :class:`InternalCheckError` when the smallest cluster holds
     more than one eigenvalue (for a graph built by this package, which is
-    connected, that means the tolerance merged distinct eigenvalues), when
-    it is not zero, or when a value is negative beyond tolerance.
+    connected, that means the tolerance merged distinct eigenvalues) or
+    when it is not zero within tolerance.  The values are ascending, so
+    every later cluster is then positive.
     """
     raw = np.asarray(raw, dtype=float)
     if raw.ndim != 1 or len(raw) == 0:
@@ -126,20 +123,16 @@ def cluster_spectrum(raw: np.ndarray, tol: float = DEFAULT_CLUSTER_TOL) -> Disti
     if mults[0] != 1:
         merged = values[: mults[0]]
         gap = max(b - a for a, b in zip(merged, merged[1:]))
-        raise SpectrumClusterError(
+        raise InternalCheckError(
             f"the smallest eigenvalue cluster has multiplicity {mults[0]}: the "
             f"clustering tolerance {tol_abs:g} merged eigenvalues up to {gap:g} "
             "apart, but a connected graph has a simple zero eigenvalue; lower "
             "--tol-eig"
         )
     if abs(thetas[0]) > tol_abs:
-        raise SpectrumClusterError(
+        raise InternalCheckError(
             f"smallest eigenvalue {thetas[0]:g} is not zero within tolerance "
             f"{tol_abs:g}; not a connected-graph Laplacian spectrum"
-        )
-    if raw[0] < -tol_abs:
-        raise SpectrumClusterError(
-            f"negative eigenvalue {raw[0]:g} below -{tol_abs:g}"
         )
     thetas[0] = 0.0
     return DistinctSpectrum(np.array(thetas), np.array(mults, dtype=int))
@@ -160,7 +153,7 @@ def phi_products(s: DistinctSpectrum) -> np.ndarray:
     range, so no partial product overflows or underflows.  Scaling by
     powers of two is exact, so the bits are those of the plain product
     wherever that stays normal.  A phi_i beyond the float range raises
-    OverflowError.
+    InternalCheckError naming it.
     """
     # gaps[j, i] = theta_i - theta_j: a block of rows is contiguous, and
     # reducing it down its columns multiplies every product at once
@@ -177,5 +170,13 @@ def phi_products(s: DistinctSpectrum) -> np.ndarray:
         phis, e = np.frexp(np.multiply.reduce(gaps[start : start + step]))
         exps += e
     # math.ldexp raises OverflowError on a phi_i past the float range,
-    # where np.ldexp would return inf for the text report to print
-    return np.array([math.ldexp(m, e) for m, e in zip(phis.tolist(), exps.tolist())])
+    # where np.ldexp would return inf for the text report to print; a
+    # mantissa in [1/2, 1) times 2^e is finite exactly when e <= 1024
+    try:
+        return np.array([math.ldexp(m, e) for m, e in zip(phis.tolist(), exps.tolist())])
+    except OverflowError:
+        i = int(np.argmax(exps > 1024))
+        raise InternalCheckError(
+            f"phi product phi_{i} is past the float range: its binary "
+            f"exponent {int(exps[i])} exceeds 1024"
+        ) from None

@@ -44,12 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigen import DistinctSpectrum
-
-class OrthopolyBreakdownError(RuntimeError):
-    """A constructed orthogonal polynomial vanished at 0 or took the wrong
-    sign there, which cannot happen for a valid spectral measure; signals a
-    numerical breakdown or a misclustered spectrum."""
+from .eigen import DistinctSpectrum, InternalCheckError
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +159,7 @@ def predistance_system(mu: SpectralMeasure) -> PredistanceSystem:
 
     p_i(0) has the sign (-1)^i, which makes every beta and gamma negative;
     a p_i(0) that is not finite, is zero or has the other sign raises
-    OrthopolyBreakdownError.
+    InternalCheckError.
     """
     thetas = mu.thetas
     d = mu.d
@@ -189,7 +184,7 @@ def predistance_system(mu: SpectralMeasure) -> PredistanceSystem:
     for i, z in enumerate(p0.tolist()):
         # finite and of the sign (-1)^i; NaN fails every comparison
         if not 0.0 < (-z if i % 2 else z) < math.inf:
-            raise OrthopolyBreakdownError(
+            raise InternalCheckError(
                 f"orthonormal polynomial of degree {i} has value {z!r} at 0, "
                 f"where its sign must be (-1)^{i}; misclustered spectrum "
                 "suspected"

@@ -47,11 +47,6 @@ from .orthopoly import (
 DEFAULT_EQUALITY_TOL = 1e-6
 
 
-class MisclusteredSpectrumError(RuntimeError):
-    """The graph's diameter exceeds the resolved d, which is impossible for
-    a correctly clustered spectrum (D <= d always holds)."""
-
-
 class Verdict(enum.Enum):
     DISTANCE_REGULAR = "distance_regular"
     NOT_DISTANCE_REGULAR = "not_distance_regular"
@@ -223,10 +218,11 @@ def average_excess(dd: DistanceData, d: int) -> float:
     always at least the diameter; when it is strictly larger no vertex has
     anything at distance d and the average is 0.  A d below the diameter
     can only come from eigenvalues merged by too loose a clustering
-    tolerance, so that raises instead of returning a wrong number.
+    tolerance, so that raises InternalCheckError instead of returning a
+    wrong number.
     """
     if d < dd.diameter:
-        raise MisclusteredSpectrumError(
+        raise InternalCheckError(
             f"diameter {dd.diameter} exceeds d = {d}: distinct eigenvalues "
             "were merged during clustering; tighten the eigenvalue tolerance"
         )

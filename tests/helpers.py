@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import networkx as nx
 import numpy as np
@@ -103,6 +104,20 @@ def poison_spectral_excess(monkeypatch) -> None:
         return PredistanceSystem(at_zero, sys.alpha, sys.beta, sys.gamma)
 
     monkeypatch.setattr(theorem, "predistance_system", poisoned)
+
+
+def reverse_measure(monkeypatch) -> None:
+    """Make theorem.predistance_system run on the spectral measure with its
+    nodes in descending order, so that the Lanczos basis reads each p_i at
+    the largest eigenvalue where it should read p_i(0).  Every p_i is
+    positive beyond its largest zero, so p_1(0) takes the wrong sign.  The
+    measure is a stand-in, as SpectralMeasure refuses unsorted nodes."""
+    real = theorem.predistance_system
+
+    def reversed_nodes(mu):
+        return real(SimpleNamespace(thetas=mu.thetas[::-1], weights=mu.weights[::-1], d=mu.d))
+
+    monkeypatch.setattr(theorem, "predistance_system", reversed_nodes)
 
 
 def perturb_eigenvectors(monkeypatch) -> None:

@@ -19,6 +19,7 @@ from helpers import (
     poison_basis,
     poison_distance,
     poison_spectral_excess,
+    reverse_measure,
     shift_eigenvalues,
 )
 
@@ -179,6 +180,16 @@ def test_nan_spectral_excess_exits_70(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert "r_d(0) is not finite" in err
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_predistance_breakdown_exits_70(monkeypatch, capsys, json_flag):
+    reverse_measure(monkeypatch)
+    assert main(["analyze", "--gen", "petersen", *json_flag]) == 70
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("lapexcess: internal error: orthonormal polynomial of degree 1 has value ")
+    assert err.endswith(" at 0, where its sign must be (-1)^1; misclustered spectrum suspected\n")
 
 
 @pytest.mark.parametrize("which, name", [

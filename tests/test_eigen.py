@@ -18,7 +18,6 @@ from lapexcess import (
     DEFAULT_CLUSTER_TOL,
     DistinctSpectrum,
     InternalCheckError,
-    SpectrumClusterError,
     cluster_spectrum,
     cycle_graph,
     eigenvalues_sym,
@@ -266,11 +265,13 @@ def test_cluster_is_gap_chaining():
 
 
 def test_cluster_rejections():
-    with pytest.raises(SpectrumClusterError):
+    with pytest.raises(
+        InternalCheckError, match="smallest eigenvalue 0.5 is not zero within tolerance 2e-08"
+    ):
         cluster_spectrum(np.array([0.5, 1.0, 2.0]))  # no zero eigenvalue
-    with pytest.raises(SpectrumClusterError):
+    with pytest.raises(InternalCheckError, match="smallest eigenvalue cluster has multiplicity 2"):
         cluster_spectrum(np.array([0.0, 1e-12, 1.0]))  # zero repeated
-    with pytest.raises(SpectrumClusterError):
+    with pytest.raises(InternalCheckError, match="smallest eigenvalue -0.5 is not zero"):
         cluster_spectrum(np.array([-0.5, 1.0, 2.0]))
     with pytest.raises(ValueError):
         cluster_spectrum(np.array([1.0, 0.0]))  # unsorted
@@ -342,10 +343,21 @@ def test_phi_products_match_reference_bitwise_across_blocks():
 
 
 def test_phi_past_the_float_range_raises():
-    # phi_200 of 0, 1, ..., 400 is -(200!)^2, about 1e749: it must fail
-    # closed, not come back as inf (spectrum's text report would print it)
+    # every phi_i of 0, 1, ..., 400 is i! (400 - i)! in magnitude, at least
+    # (200!)^2, about 1e749: it must fail closed, not come back as inf
+    # (spectrum's text report would print it), and name the first one
     s = DistinctSpectrum(np.arange(401.0), np.ones(401, dtype=int))
-    with pytest.raises(OverflowError):
+    with pytest.raises(
+        InternalCheckError,
+        match=r"phi_0 is past the float range: its binary exponent 2887 exceeds 1024$",
+    ):
+        phi_products(s)
+    # of 0, 1, 2, 1e200 only phi_3, about 2e600, is past the range
+    s = DistinctSpectrum(np.array([0.0, 1.0, 2.0, 1e200]), np.ones(4, dtype=int))
+    with pytest.raises(
+        InternalCheckError,
+        match=r"phi_3 is past the float range: its binary exponent 1994 exceeds 1024$",
+    ):
         phi_products(s)
 
 

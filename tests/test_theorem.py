@@ -15,6 +15,7 @@ from helpers import (
     poison_basis,
     poison_spectral_excess,
     random_connected_graph,
+    reverse_measure,
     reference_distances,
     reference_eval_matrix,
     reference_oracle,
@@ -28,7 +29,6 @@ from lapexcess import (
     Graph,
     IntersectionArray,
     InternalCheckError,
-    MisclusteredSpectrumError,
     OracleRefusal,
     SpectralMeasure,
     Verdict,
@@ -79,7 +79,7 @@ def test_average_excess_beyond_diameter_is_zero():
 
 
 def test_average_excess_below_diameter_raises():
-    with pytest.raises(MisclusteredSpectrumError):
+    with pytest.raises(InternalCheckError, match="diameter 3 exceeds d = 2: distinct eigenvalues were merged"):
         average_excess(distance_data(path_graph(4)), 2)
 
 
@@ -430,6 +430,15 @@ def test_nan_closed_form_raises(monkeypatch):
 def test_nan_spectral_excess_raises(monkeypatch):
     poison_spectral_excess(monkeypatch)
     with pytest.raises(InternalCheckError, match="not finite"):
+        analyze(petersen_graph())
+
+
+def test_predistance_breakdown_raises(monkeypatch):
+    reverse_measure(monkeypatch)
+    with pytest.raises(
+        InternalCheckError,
+        match=r"orthonormal polynomial of degree 1 has value \S+ at 0, where its sign must be \(-1\)\^1;",
+    ):
         analyze(petersen_graph())
 
 

@@ -33,7 +33,8 @@ def test_digest_pins_the_bytes(capsys):
         "path:128     4d06a79284c6de9ed8c69400dd675a87a682b836a8e152524adf0524e56753c0  (4 calls)",
         "hypercube:6  fd7cce2ff6590cc36a32f77b2c19b599e8d81331c9775ee977ce57268080cb69  (4 calls)",
         "petersen     e2da3653b013804158e205b1c5e13f1cfe10970872bca2040f29eb5356fae2f8  (4 calls)",
-        "all          144c08d683297399d449710f2b8646c72d2a0c5d4b8412e9f2144cfb6053221c",
+        "errors       fa916829f5054d77784058eb0823e129bd32b015e6ad8cc33236db0958dc12ab  (6 calls)",
+        "all          513acb282e6f6ab63f0a2fe933fc4a94beb7a5bfcdd6e5d20f40b7f51847d274",
     ]
 
 

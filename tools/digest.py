@@ -14,7 +14,13 @@ Specs:
   on the edge-list text of each of the 996 connected graphs of the networkx
   graph atlas (n <= 7; networkx comes with the test extra);
 * ``cycle:128``, ``path:128``, ``hypercube:6``, ``petersen``: ``analyze``
-  and ``spectrum`` on ``--gen SPEC``, each with and without ``--json``.
+  and ``spectrum`` on ``--gen SPEC``, each with and without ``--json``;
+* ``errors``: the failure paths, one call each.  ``analyze`` and
+  ``spectrum`` on ``--gen path:5 --tol-eig 0.5`` (a merged zero cluster,
+  exit 70), ``analyze - --tol-eig 0.23`` on K_{2,3,4} (diameter above d,
+  exit 70), ``analyze --gen path:4 --tol-eq 0.5`` (the oracle refuses,
+  exit 70), ``analyze -`` on a malformed line (exit 64) and on a
+  disconnected edge list (exit 65).
 
 Prints one line per spec (its SHA-256 and the number of calls) and a last
 line with the SHA-256 over all of them.
@@ -31,8 +37,21 @@ from lapexcess import cli
 from lapexcess.graphs import Graph, format_edge_list
 
 GENERATED = ("cycle:128", "path:128", "hypercube:6", "petersen")
-SPECS = ("atlas",) + GENERATED
+SPECS = ("atlas",) + GENERATED + ("errors",)
 ATLAS_ARGVS = (["analyze", "-", "--json"], ["analyze", "-"], ["spectrum", "-", "--json"])
+# K_{2,3,4}: the part of each of its 9 vertices, and an edge across parts
+PARTS = (0, 0, 1, 1, 1, 2, 2, 2, 2)
+K234 = format_edge_list(
+    Graph.from_edges(9, [(u, v) for u in range(9) for v in range(u) if PARTS[u] != PARTS[v]])
+)
+ERRORS = (
+    (["analyze", "--gen", "path:5", "--tol-eig", "0.5"], ""),
+    (["spectrum", "--gen", "path:5", "--tol-eig", "0.5"], ""),
+    (["analyze", "-", "--tol-eig", "0.23"], K234),
+    (["analyze", "--gen", "path:4", "--tol-eq", "0.5"], ""),
+    (["analyze", "-"], "0 zero\n"),
+    (["analyze", "-"], "0 1\n2 3\n"),
+)
 
 
 def atlas_texts() -> list:
@@ -57,6 +76,9 @@ def calls(spec: str):
         for text in atlas_texts():
             for argv in ATLAS_ARGVS:
                 yield argv, text
+        return
+    if spec == "errors":
+        yield from ERRORS
         return
     for command in ("analyze", "spectrum"):
         for extra in ([], ["--json"]):

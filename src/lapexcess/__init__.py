@@ -24,8 +24,6 @@ from .graphs import (
     FAMILIES,
     DisconnectedGraphError,
     DistanceData,
-    EdgeListError,
-    GeneratorError,
     Graph,
     GraphInputError,
     complete_bipartite_graph,
@@ -69,9 +67,7 @@ __all__ = [
     "DisconnectedGraphError",
     "DistanceData",
     "DistinctSpectrum",
-    "EdgeListError",
     "FAMILIES",
-    "GeneratorError",
     "Graph",
     "GraphInputError",
     "InternalCheckError",

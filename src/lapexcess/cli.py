@@ -34,7 +34,6 @@ from .eigen import (
 )
 from .graphs import (
     DisconnectedGraphError,
-    EdgeListError,
     Graph,
     GraphInputError,
     format_edge_list,
@@ -208,7 +207,7 @@ def _load_graph(args) -> Graph:
                 text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         source = "stdin" if args.input == "-" else args.input
-        raise EdgeListError(f"cannot read {source}: {exc}") from exc
+        raise GraphInputError(f"cannot read {source}: {exc}") from exc
     return parse_edge_list(text)
 
 

@@ -13,78 +13,85 @@ be shared freely across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations, product
+from operator import index
 
 import numpy as np
 
 
 class GraphInputError(ValueError):
-    """Invalid graph input (bad edge list, bad generator parameters)."""
-
-
-class EdgeListError(GraphInputError):
-    """Malformed edge-list text: bad line, self-loop, index out of range."""
-
-
-class GeneratorError(GraphInputError):
-    """Unknown graph family or invalid generator parameters."""
+    """Unusable graph input: a malformed edge list, a non-integer vertex
+    count or endpoint, a loop, an endpoint out of range, or an unknown
+    family or bad parameters for a generator."""
 
 
 class DisconnectedGraphError(GraphInputError):
     """The graph is not connected."""
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as an int by ``operator.index``, which also takes numpy
+    integers and refuses floats and strings."""
+    try:
+        return index(value)
+    except TypeError:
+        raise GraphInputError(f"{what} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class Graph:
     """Connected simple undirected graph on vertices 0..n-1.
 
-    ``edges`` holds normalized pairs (u, v) with u < v, no loops and no
-    duplicates.  Construct via :meth:`from_edges`, :func:`parse_edge_list`,
-    or one of the generators; direct construction validates but does not
-    normalize.
+    ``Graph(n, pairs)`` is the one constructor.  ``n`` and the endpoints of
+    ``pairs``, any iterable of two-integer pairs, are read by
+    ``operator.index``; each pair is stored as (u, v) with u < v, and
+    repeated pairs collapse.  So a graph built from reversed, repeated or
+    numpy-integer pairs equals, and hashes like, the one built from its
+    canonical edges.  A non-integer, a loop, an endpoint outside 0..n-1 or
+    a non-positive n raises :class:`GraphInputError`, and a disconnected
+    graph :class:`DisconnectedGraphError`.
 
-    ``edges`` is the only stored view of the edge set.  The dense boolean
-    ``adjacency_matrix`` is built from it on first use and then kept; it
-    takes no part in equality, hashing or repr.
+    ``edges`` is the only stored view of the edge set, a frozenset of the
+    normalized pairs.  The dense boolean ``adjacency_matrix`` is built from
+    it on first use and then kept; it takes no part in equality, hashing or
+    repr.
     """
 
     n: int
-    edges: frozenset = field(default_factory=frozenset)
+    edges: frozenset = frozenset()
 
     def __post_init__(self):
-        if self.n < 1:
-            raise GraphInputError(f"vertex count must be positive, got {self.n}")
-        for e in self.edges:
-            u, v = e
-            if not (0 <= u < v < self.n):
+        n = _integer(self.n, "vertex count")
+        if n < 1:
+            raise GraphInputError(f"vertex count must be positive, got {n}")
+        edges = set()
+        add = edges.add
+        for pair in self.edges:
+            try:
+                u, v = pair
+                u, v = index(u), index(v)
+            except (TypeError, ValueError):
+                raise GraphInputError(
+                    f"edge {pair!r} is not a pair of integer vertices"
+                ) from None
+            if u > v:
+                u, v = v, u
+            if not 0 <= u < v < n:
                 if u == v:
-                    raise EdgeListError(f"self-loop at vertex {u}")
-                raise EdgeListError(
-                    f"edge {e} is not a pair u < v of vertices in 0..{self.n - 1}"
-                )
+                    raise GraphInputError(f"self-loop at vertex {u}")
+                raise GraphInputError(f"edge {pair!r} has an endpoint outside 0..{n - 1}")
+            add((u, v))
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", frozenset(edges))
         # fewer than n - 1 edges cannot connect n vertices; checking that
         # first keeps a huge declared n from costing O(n) memory
-        if len(self.edges) >= self.n - 1 and _joins(self.n, self.edges) == self.n - 1:
+        if len(edges) >= n - 1 and _joins(n, edges) == n - 1:
             return
         raise DisconnectedGraphError(
-            f"graph on {self.n} vertices with {len(self.edges)} edges "
-            "is not connected"
+            f"graph on {n} vertices with {len(edges)} edges is not connected"
         )
-
-    @classmethod
-    def from_edges(cls, n: int, edges) -> "Graph":
-        """Build a graph from an iterable of (u, v) pairs.
-
-        Pairs are normalized to u < v and deduplicated.  Raises
-        :class:`EdgeListError` on loops or out-of-range endpoints and
-        :class:`DisconnectedGraphError` if the result is disconnected.
-        """
-        normalized = set()
-        for u, v in edges:
-            u, v = int(u), int(v)
-            normalized.add((u, v) if u < v else (v, u))
-        return cls(n, frozenset(normalized))
 
     @property
     def edge_count(self) -> int:
@@ -141,53 +148,55 @@ def parse_edge_list(text: str) -> Graph:
     count; otherwise it is inferred as max index + 1.  ``#`` starts a
     comment; blank lines are ignored.  Duplicate edges collapse.
 
-    Raises :class:`EdgeListError` for malformed input and
-    :class:`DisconnectedGraphError` for disconnected graphs.
+    Raises :class:`GraphInputError` for malformed input, naming the line,
+    and :class:`DisconnectedGraphError` for disconnected graphs.
     """
     declared_n = None
     pairs = []
+    top = -1
     first = True
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
             continue
-        parts = line.split()
         if first and parts[0] == "n":
             if len(parts) != 2:
-                raise EdgeListError(f"line {lineno}: malformed vertex-count line {raw!r}")
+                raise GraphInputError(f"line {lineno}: malformed vertex-count line {raw!r}")
             try:
                 declared_n = int(parts[1])
             except ValueError:
-                raise EdgeListError(f"line {lineno}: bad vertex count {parts[1]!r}") from None
+                raise GraphInputError(f"line {lineno}: bad vertex count {parts[1]!r}") from None
             if declared_n < 1:
-                raise EdgeListError(f"line {lineno}: vertex count must be positive")
+                raise GraphInputError(f"line {lineno}: vertex count must be positive")
             first = False
             continue
         first = False
         if len(parts) != 2:
-            raise EdgeListError(f"line {lineno}: expected 'u v', got {raw!r}")
+            raise GraphInputError(f"line {lineno}: expected 'u v', got {raw!r}")
         try:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
-            raise EdgeListError(f"line {lineno}: non-integer vertex in {raw!r}") from None
+            raise GraphInputError(f"line {lineno}: non-integer vertex in {raw!r}") from None
         if u < 0 or v < 0:
-            raise EdgeListError(f"line {lineno}: negative vertex index in {raw!r}")
+            raise GraphInputError(f"line {lineno}: negative vertex index in {raw!r}")
         if u == v:
-            raise EdgeListError(f"line {lineno}: self-loop at vertex {u}")
+            raise GraphInputError(f"line {lineno}: self-loop at vertex {u}")
+        if u > top:
+            top = u
+        if v > top:
+            top = v
         pairs.append((u, v))
 
     if declared_n is None:
         if not pairs:
-            raise EdgeListError("empty input: no vertices or edges")
-        n = max(max(u, v) for u, v in pairs) + 1
+            raise GraphInputError("empty input: no vertices or edges")
+        n = top + 1
     else:
         n = declared_n
-        for u, v in pairs:
-            if u >= n or v >= n:
-                raise EdgeListError(
-                    f"edge ({u}, {v}) references a vertex >= declared n={n}"
-                )
-    return Graph.from_edges(n, pairs)
+        if top >= n:
+            u, v = next(pair for pair in pairs if max(pair) >= n)
+            raise GraphInputError(f"edge ({u}, {v}) references a vertex >= declared n={n}")
+    return Graph(n, pairs)
 
 
 def format_edge_list(g: Graph) -> str:
@@ -208,38 +217,36 @@ def format_edge_list(g: Graph) -> str:
 def path_graph(k: int) -> Graph:
     """Path on k >= 1 vertices: edges (i, i+1) for i = 0..k-2."""
     if k < 1:
-        raise GeneratorError(f"path needs k >= 1, got {k}")
-    return Graph(k, frozenset((i, i + 1) for i in range(k - 1)))
+        raise GraphInputError(f"path needs k >= 1, got {k}")
+    return Graph(k, zip(range(k - 1), range(1, k)))
 
 
 def cycle_graph(k: int) -> Graph:
     """Cycle on k >= 3 vertices: path edges plus (0, k-1)."""
     if k < 3:
-        raise GeneratorError(f"cycle needs k >= 3, got {k}")
-    edges = {(i, i + 1) for i in range(k - 1)}
-    edges.add((0, k - 1))
-    return Graph(k, frozenset(edges))
+        raise GraphInputError(f"cycle needs k >= 3, got {k}")
+    return Graph(k, [*zip(range(k - 1), range(1, k)), (0, k - 1)])
 
 
 def complete_graph(k: int) -> Graph:
     """Complete graph on k >= 1 vertices."""
     if k < 1:
-        raise GeneratorError(f"complete needs k >= 1, got {k}")
-    return Graph(k, frozenset((i, j) for i in range(k) for j in range(i + 1, k)))
+        raise GraphInputError(f"complete needs k >= 1, got {k}")
+    return Graph(k, combinations(range(k), 2))
 
 
 def complete_bipartite_graph(m: int, k: int) -> Graph:
     """Complete bipartite graph with parts {0..m-1} and {m..m+k-1}."""
     if m < 1 or k < 1:
-        raise GeneratorError(f"complete_bipartite needs both parts >= 1, got {m}, {k}")
-    return Graph(m + k, frozenset((i, m + j) for i in range(m) for j in range(k)))
+        raise GraphInputError(f"complete_bipartite needs both parts >= 1, got {m}, {k}")
+    return Graph(m + k, product(range(m), range(m, m + k)))
 
 
 def star_graph(k: int) -> Graph:
     """Star with center 0 and k >= 1 leaves 1..k (k+1 vertices total)."""
     if k < 1:
-        raise GeneratorError(f"star needs k >= 1 leaves, got {k}")
-    return Graph(k + 1, frozenset((0, i) for i in range(1, k + 1)))
+        raise GraphInputError(f"star needs k >= 1 leaves, got {k}")
+    return Graph(k + 1, ((0, i) for i in range(1, k + 1)))
 
 
 def petersen_graph() -> Graph:
@@ -248,31 +255,20 @@ def petersen_graph() -> Graph:
     Vertices are the 2-element subsets of {0..4} in lexicographic order;
     two vertices are adjacent exactly when the subsets are disjoint.
     """
-    pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
-    index = {p: k for k, p in enumerate(pairs)}
-    edges = set()
-    for p in pairs:
-        for q in pairs:
-            if not set(p) & set(q):
-                a, b = index[p], index[q]
-                if a < b:
-                    edges.add((a, b))
-    return Graph(10, frozenset(edges))
+    subsets = enumerate(combinations(range(5), 2))
+    return Graph(
+        10, ((a, b) for (a, p), (b, q) in combinations(subsets, 2) if not set(p) & set(q))
+    )
 
 
 def hypercube_graph(q: int) -> Graph:
     """q-dimensional hypercube: vertices are 0..2^q-1 read as bit strings,
     adjacent when they differ in exactly one bit."""
     if q < 1:
-        raise GeneratorError(f"hypercube needs q >= 1, got {q}")
+        raise GraphInputError(f"hypercube needs q >= 1, got {q}")
     n = 1 << q
-    edges = set()
-    for u in range(n):
-        for bit in range(q):
-            v = u ^ (1 << bit)
-            if u < v:
-                edges.add((u, v))
-    return Graph(n, frozenset(edges))
+    bits = [1 << i for i in range(q)]
+    return Graph(n, ((u, u | bit) for u in range(n) for bit in bits if not u & bit))
 
 
 FAMILIES = {
@@ -294,11 +290,11 @@ def generate(family: str, params=()) -> Graph:
     """
     if family not in FAMILIES:
         known = ", ".join(sorted(FAMILIES))
-        raise GeneratorError(f"unknown family {family!r} (known: {known})")
+        raise GraphInputError(f"unknown family {family!r} (known: {known})")
     func, arity = FAMILIES[family]
-    params = tuple(int(p) for p in params)
+    params = tuple(_integer(p, f"family {family!r} parameter") for p in params)
     if len(params) != arity:
-        raise GeneratorError(
+        raise GraphInputError(
             f"family {family!r} takes {arity} parameter(s), got {len(params)}"
         )
     return func(*params)

@@ -38,7 +38,7 @@ def _atlas_graphs():
             continue
         mapping = {node: i for i, node in enumerate(sorted(g.nodes()))}
         edges = [(mapping[u], mapping[v]) for u, v in g.edges()]
-        out.append((f"atlas_{idx}", Graph.from_edges(n, edges)))
+        out.append((f"atlas_{idx}", Graph(n, edges)))
     return out
 
 

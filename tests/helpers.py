@@ -47,18 +47,18 @@ def random_connected_graph(rng, n: int, extra_edges: int = 0) -> Graph:
         if e not in edges:
             edges.add(e)
             remaining -= 1
-    return Graph.from_edges(n, edges)
+    return Graph(n, edges)
 
 
 def paw_graph() -> Graph:
     """Triangle with a pendant vertex: diameter 2 but four distinct
     Laplacian eigenvalues, so d exceeds the diameter."""
-    return Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+    return Graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
 
 
 def permute_graph(g: Graph, perm) -> Graph:
     """Relabel vertices: vertex v becomes perm[v]."""
-    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
 
 
 def to_networkx(g: Graph) -> nx.Graph:

@@ -4,6 +4,7 @@ Distances and matrices are cross-checked against networkx, which plays no
 part in the package itself.
 """
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -13,8 +14,6 @@ from helpers import adjacency, neighbors, random_connected_graph, to_networkx
 import networkx as nx
 from lapexcess import (
     DisconnectedGraphError,
-    EdgeListError,
-    GeneratorError,
     Graph,
     GraphInputError,
     analyze,
@@ -40,42 +39,59 @@ from lapexcess.theorem import per_vertex_excess
 # Construction
 # ---------------------------------------------------------------------------
 
-def test_from_edges_normalizes_and_dedups():
-    g = Graph.from_edges(3, [(2, 1), (1, 2), (0, 1)])
-    assert g.edges == frozenset({(1, 2), (0, 1)})
-    assert g.edge_count == 2
+def test_construction_normalizes():
+    # reversed, repeated and numpy-integer pairs give the canonical graph
+    canonical = Graph(3, frozenset({(0, 1), (1, 2)}))
+    for n, pairs in [
+        (3, [(2, 1), (1, 2), (0, 1)]),
+        (3, frozenset({(1, 0), (1, 2)})),
+        (np.int64(3), np.array([[1, 0], [2, 1], [0, 1]])),
+        (3, ((np.int32(v), np.uint8(v + 1)) for v in range(2))),
+    ]:
+        g = Graph(n, pairs)
+        assert g == canonical and hash(g) == hash(canonical)
+        assert g.edges == frozenset({(0, 1), (1, 2)}) and g.edge_count == 2
+        assert repr(g) == repr(canonical)
     # the derived adjacency takes no part in equality, hashing or repr
-    direct = Graph(3, frozenset({(0, 1), (1, 2)}))
-    assert g == direct and hash(g) == hash(direct)
-    assert "adj" not in repr(g)
+    assert "adj" not in repr(canonical)
 
 
-def test_from_edges_rejects_loops_and_range():
-    with pytest.raises(EdgeListError):
-        Graph.from_edges(3, [(0, 0), (0, 1)])
-    with pytest.raises(EdgeListError):
-        Graph.from_edges(3, [(0, 3)])
-    with pytest.raises(EdgeListError):
-        Graph.from_edges(3, [(-1, 2)])
+def test_construction_rejects_loops_and_range():
+    with pytest.raises(GraphInputError, match=re.escape("self-loop at vertex 0")):
+        Graph(3, [(0, 0), (0, 1)])
+    with pytest.raises(GraphInputError, match=re.escape("edge (0, 3) has an endpoint outside 0..2")):
+        Graph(3, [(0, 3)])
+    with pytest.raises(GraphInputError, match=re.escape("edge (-1, 2) has an endpoint outside 0..2")):
+        Graph(3, [(-1, 2)])
+    with pytest.raises(GraphInputError, match=re.escape("edge (0, 1, 2) is not a pair")):
+        Graph(3, [(0, 1, 2)])
 
 
-def test_direct_construction_validates_normalization():
-    with pytest.raises(EdgeListError):
-        Graph(3, frozenset({(1, 0), (1, 2)}))
+def test_non_integer_input_raises():
+    # operator.index refuses what int() would truncate, and each refusal
+    # names the value
+    with pytest.raises(GraphInputError, match=re.escape("edge (0, 1.5) is not a pair of integer vertices")):
+        Graph(3, [(0, 1.5), (1, 2)])
+    with pytest.raises(GraphInputError, match=re.escape("family 'path' parameter must be an integer, got 4.7")):
+        generate("path", [4.7])
+    with pytest.raises(GraphInputError, match=re.escape("vertex count must be an integer, got 2.5")):
+        Graph(2.5)
+    # numpy integers are integers
+    assert generate("path", [np.int64(4)]) == path_graph(4)
 
 
 def test_disconnected_rejected():
     with pytest.raises(DisconnectedGraphError):
-        Graph.from_edges(4, [(0, 1), (2, 3)])
+        Graph(4, [(0, 1), (2, 3)])
     with pytest.raises(DisconnectedGraphError):
-        Graph.from_edges(2, [])
+        Graph(2, [])
     # at least n - 1 edges pass the edge-count guard, so the traversal
     # decides: a triangle and an isolated vertex, and K_4 and K_3
     with pytest.raises(DisconnectedGraphError):
-        Graph.from_edges(4, [(0, 1), (0, 2), (1, 2)])
+        Graph(4, [(0, 1), (0, 2), (1, 2)])
     k4_and_k3 = [(u, v) for part in (range(4), range(4, 7)) for u in part for v in part if u < v]
     with pytest.raises(DisconnectedGraphError):
-        Graph.from_edges(7, k4_and_k3)
+        Graph(7, k4_and_k3)
 
 
 def test_connectivity_matches_networkx():
@@ -93,10 +109,10 @@ def test_connectivity_matches_networkx():
         connected = nx.is_connected(h)
         seen.add(connected)
         if connected:
-            assert Graph.from_edges(n, edges).edge_count == m
+            assert Graph(n, edges).edge_count == m
         else:
             with pytest.raises(DisconnectedGraphError):
-                Graph.from_edges(n, edges)
+                Graph(n, edges)
     assert seen == {True, False}
 
 
@@ -138,6 +154,7 @@ def test_parse_header_comments_blanks_duplicates():
     0 1
     1 2   # trailing comment
     1 2
+    2 1
     0 2
     """
     g = parse_edge_list(text)
@@ -163,23 +180,23 @@ def test_too_few_edges_rejected_without_per_vertex_memory():
     assert peak < 2**20
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "",
-        "0\n",
-        "0 1 2\n",
-        "x y\n",
-        "0 -1\n",
-        "3 3\n",
-        "n\n0 1\n",
-        "n two\n0 1\n",
-        "n 0\n",
-        "n 2\n0 5\n",
-    ],
-)
+MALFORMED = {
+    "": "empty input: no vertices or edges",
+    "0\n": "line 1: expected 'u v', got '0'",
+    "0 1 2\n": "line 1: expected 'u v', got '0 1 2'",
+    "x y\n": "line 1: non-integer vertex in 'x y'",
+    "0 -1\n": "line 1: negative vertex index in '0 -1'",
+    "3 3\n": "line 1: self-loop at vertex 3",
+    "n\n0 1\n": "line 1: malformed vertex-count line 'n'",
+    "n two\n0 1\n": "line 1: bad vertex count 'two'",
+    "n 0\n": "line 1: vertex count must be positive",
+    "n 2\n0 5\n": "edge (0, 5) references a vertex >= declared n=2",
+}
+
+
+@pytest.mark.parametrize("text", list(MALFORMED))
 def test_parse_rejects_malformed(text):
-    with pytest.raises(EdgeListError):
+    with pytest.raises(GraphInputError, match=f"^{re.escape(MALFORMED[text])}$"):
         parse_edge_list(text)
 
 
@@ -249,16 +266,16 @@ def test_generate_dispatch():
 
 
 def test_generate_errors():
-    with pytest.raises(GeneratorError):
-        generate("nosuch", (3,))
-    with pytest.raises(GeneratorError):
-        generate("path", ())
-    with pytest.raises(GeneratorError):
-        generate("petersen", (1,))
-    with pytest.raises(GeneratorError):
-        generate("cycle", (2,))
-    with pytest.raises(GeneratorError):
-        generate("hypercube", (0,))
+    known = "complete, complete_bipartite, cycle, hypercube, path, petersen, star"
+    for family, params, message in [
+        ("nosuch", (3,), f"unknown family 'nosuch' (known: {known})"),
+        ("path", (), "family 'path' takes 1 parameter(s), got 0"),
+        ("petersen", (1,), "family 'petersen' takes 0 parameter(s), got 1"),
+        ("cycle", (2,), "cycle needs k >= 3, got 2"),
+        ("hypercube", (0,), "hypercube needs q >= 1, got 0"),
+    ]:
+        with pytest.raises(GraphInputError, match=f"^{re.escape(message)}$"):
+            generate(family, params)
 
 
 # ---------------------------------------------------------------------------

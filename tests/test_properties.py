@@ -40,7 +40,7 @@ def random_connected_graphs(draw):
     for u, v in draw(st.lists(st.tuples(vertex, vertex), max_size=2 * n)):
         if u != v:
             edges.add((min(u, v), max(u, v)))
-    return Graph.from_edges(n, edges)
+    return Graph(n, edges)
 
 
 @st.composite

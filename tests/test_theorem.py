@@ -58,7 +58,7 @@ def prism_graph() -> Graph:
     Regular of degree 3 but not distance-regular, because adjacent vertices
     in a triangle share a neighbor while matched vertices do not.
     """
-    return Graph.from_edges(
+    return Graph(
         6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]
     )
 
@@ -197,7 +197,7 @@ def test_distances_and_oracle_match_references_on_random_regular_graphs():
             seed += 1
             h = nx.random_regular_graph(k, n, seed=seed)
         seed += 1
-        g = permute_graph(Graph.from_edges(n, h.edges()), rng.permutation(n))
+        g = permute_graph(Graph(n, h.edges()), rng.permutation(n))
         result = _matches_references(g, f"n={n} k={k} seed={seed - 1}")
         witnesses += isinstance(result, OracleRefusal) and result.distance is not None
     assert witnesses >= 30
@@ -221,7 +221,7 @@ def test_distances_in_float64_match_references(monkeypatch):
     # sums of distances over a clique pass 2^11, where float16 stops being
     # exact
     monkeypatch.setattr(graphs, "_FLOAT32_MAX_N", 0)
-    lollipop = Graph.from_edges(400, nx.lollipop_graph(200, 200).edges())
+    lollipop = Graph(400, nx.lollipop_graph(200, 200).edges())
     for name, g in _NAMED + [("lollipop", lollipop)]:
         _matches_references(g, name)
 
@@ -572,14 +572,14 @@ def _torus_cayley_graph(connection) -> Graph:
             for dx, dy in connection:
                 u, v = 4 * x + y, 4 * ((x + dx) % 4) + (y + dy) % 4
                 edges.add((min(u, v), max(u, v)))
-    return Graph.from_edges(16, edges)
+    return Graph(16, edges)
 
 
 def test_shrikhande_and_rook_graph_are_cospectral_and_distance_regular():
     # The Shrikhande graph and the 4 x 4 rook's graph (same row or same
     # column) are both srg(16, 6, 2, 2) and not isomorphic.
     shrikhande = _torus_cayley_graph([(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)])
-    rook = Graph.from_edges(
+    rook = Graph(
         16,
         [(u, v) for u in range(16) for v in range(u + 1, 16) if u // 4 == v // 4 or u % 4 == v % 4],
     )
@@ -675,7 +675,7 @@ def test_random_regular_graph_matches_networkx(k, h):
     at diameter 8 log2(n) / 3, a bound that holds only for valency >= 3, so
     for cycles the expected array is C_n's own."""
     n = h.number_of_nodes()
-    a = analyze(Graph.from_edges(n, h.edges()))
+    a = analyze(Graph(n, h.edges()))
     if k == 2:
         diam = n // 2
         drg = True

@@ -34,7 +34,8 @@ def test_digest_pins_the_bytes(capsys):
         "hypercube:6  fd7cce2ff6590cc36a32f77b2c19b599e8d81331c9775ee977ce57268080cb69  (4 calls)",
         "petersen     e2da3653b013804158e205b1c5e13f1cfe10970872bca2040f29eb5356fae2f8  (4 calls)",
         "errors       fa916829f5054d77784058eb0823e129bd32b015e6ad8cc33236db0958dc12ab  (6 calls)",
-        "all          513acb282e6f6ab63f0a2fe933fc4a94beb7a5bfcdd6e5d20f40b7f51847d274",
+        "inputs       7ca5f1c9f6636d60f5e40080957dbeb9074c6b8f12b62c057bb0f2581e124152  (17 calls)",
+        "all          762c39b6111feb0e87c67349406636702a12c582691f7fa875f00df6c668d979",
     ]
 
 

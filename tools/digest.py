@@ -20,7 +20,12 @@ Specs:
   exit 70), ``analyze - --tol-eig 0.23`` on K_{2,3,4} (diameter above d,
   exit 70), ``analyze --gen path:4 --tol-eq 0.5`` (the oracle refuses,
   exit 70), ``analyze -`` on a malformed line (exit 64) and on a
-  disconnected edge list (exit 65).
+  disconnected edge list (exit 65);
+* ``inputs``: every input refusal of ``analyze``, one call each.  The ten
+  malformed texts of ``tests/test_graphs.py::test_parse_rejects_malformed``
+  on stdin; ``--gen`` with an unknown family, a wrong arity, a non-integer
+  parameter and ``path:0``; a missing file; a file together with
+  ``--gen``; and no input at all.
 
 Prints one line per spec (its SHA-256 and the number of calls) and a last
 line with the SHA-256 over all of them.
@@ -37,12 +42,12 @@ from lapexcess import cli
 from lapexcess.graphs import Graph, format_edge_list
 
 GENERATED = ("cycle:128", "path:128", "hypercube:6", "petersen")
-SPECS = ("atlas",) + GENERATED + ("errors",)
+SPECS = ("atlas",) + GENERATED + ("errors", "inputs")
 ATLAS_ARGVS = (["analyze", "-", "--json"], ["analyze", "-"], ["spectrum", "-", "--json"])
 # K_{2,3,4}: the part of each of its 9 vertices, and an edge across parts
 PARTS = (0, 0, 1, 1, 1, 2, 2, 2, 2)
 K234 = format_edge_list(
-    Graph.from_edges(9, [(u, v) for u in range(9) for v in range(u) if PARTS[u] != PARTS[v]])
+    Graph(9, [(u, v) for u in range(9) for v in range(u) if PARTS[u] != PARTS[v]])
 )
 ERRORS = (
     (["analyze", "--gen", "path:5", "--tol-eig", "0.5"], ""),
@@ -51,6 +56,24 @@ ERRORS = (
     (["analyze", "--gen", "path:4", "--tol-eq", "0.5"], ""),
     (["analyze", "-"], "0 zero\n"),
     (["analyze", "-"], "0 1\n2 3\n"),
+)
+MALFORMED = (
+    "", "0\n", "0 1 2\n", "x y\n", "0 -1\n", "3 3\n",
+    "n\n0 1\n", "n two\n0 1\n", "n 0\n", "n 2\n0 5\n",
+)
+# a relative path that no checkout contains, so the refusal reads the same
+MISSING = "no-such-dir/graph.txt"
+INPUTS = tuple((["analyze", "-"], text) for text in MALFORMED) + tuple(
+    (argv, "")
+    for argv in (
+        ["analyze", "--gen", "nosuch:3"],
+        ["analyze", "--gen", "path:3:4"],
+        ["analyze", "--gen", "path:x"],
+        ["analyze", "--gen", "path:0"],
+        ["analyze", MISSING],
+        ["analyze", MISSING, "--gen", "path:4"],
+        ["analyze"],
+    )
 )
 
 
@@ -66,7 +89,7 @@ def atlas_texts() -> list:
             continue
         index = {node: i for i, node in enumerate(sorted(g.nodes()))}
         edges = [(index[u], index[v]) for u, v in g.edges()]
-        texts.append(format_edge_list(Graph.from_edges(n, edges)))
+        texts.append(format_edge_list(Graph(n, edges)))
     return texts
 
 
@@ -79,6 +102,9 @@ def calls(spec: str):
         return
     if spec == "errors":
         yield from ERRORS
+        return
+    if spec == "inputs":
+        yield from INPUTS
         return
     for command in ("analyze", "spectrum"):
         for extra in ([], ["--json"]):

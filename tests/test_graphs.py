@@ -39,21 +39,34 @@ from lapexcess.theorem import per_vertex_excess
 # Construction
 # ---------------------------------------------------------------------------
 
-def test_construction_normalizes():
-    # reversed, repeated and numpy-integer pairs give the canonical graph
-    canonical = Graph(3, frozenset({(0, 1), (1, 2)}))
+CANONICAL_PATH = frozenset({(0, 1), (1, 2)})
+
+
+def test_from_edges_normalizes_and_dedups():
+    # an edge list with reversed and repeated pairs gives the canonical graph
+    g = Graph(3, [(2, 1), (1, 2), (0, 1)])
+    assert g.edges == CANONICAL_PATH and g.edge_count == 2
+    canonical = Graph(3, CANONICAL_PATH)
+    assert g == canonical and hash(g) == hash(canonical)
+    assert repr(g) == repr(canonical)
+    # the derived adjacency takes no part in equality, hashing or repr
+    assert "adj" not in repr(g)
+
+
+def test_direct_construction_validates_normalization():
+    # direct construction normalizes every pair it is given instead of
+    # trusting the caller: a reversed frozenset, a numpy array and a lazy
+    # iterable of numpy integers all give the canonical graph
+    canonical = Graph(3, CANONICAL_PATH)
     for n, pairs in [
-        (3, [(2, 1), (1, 2), (0, 1)]),
         (3, frozenset({(1, 0), (1, 2)})),
         (np.int64(3), np.array([[1, 0], [2, 1], [0, 1]])),
         (3, ((np.int32(v), np.uint8(v + 1)) for v in range(2))),
     ]:
         g = Graph(n, pairs)
         assert g == canonical and hash(g) == hash(canonical)
-        assert g.edges == frozenset({(0, 1), (1, 2)}) and g.edge_count == 2
+        assert g.edges == CANONICAL_PATH and g.edge_count == 2
         assert repr(g) == repr(canonical)
-    # the derived adjacency takes no part in equality, hashing or repr
-    assert "adj" not in repr(canonical)
 
 
 def test_construction_rejects_loops_and_range():

@@ -216,6 +216,7 @@ def format_edge_list(g: Graph) -> str:
 
 def path_graph(k: int) -> Graph:
     """Path on k >= 1 vertices: edges (i, i+1) for i = 0..k-2."""
+    k = _integer(k, "family 'path' parameter")
     if k < 1:
         raise GraphInputError(f"path needs k >= 1, got {k}")
     return Graph(k, zip(range(k - 1), range(1, k)))
@@ -223,6 +224,7 @@ def path_graph(k: int) -> Graph:
 
 def cycle_graph(k: int) -> Graph:
     """Cycle on k >= 3 vertices: path edges plus (0, k-1)."""
+    k = _integer(k, "family 'cycle' parameter")
     if k < 3:
         raise GraphInputError(f"cycle needs k >= 3, got {k}")
     return Graph(k, [*zip(range(k - 1), range(1, k)), (0, k - 1)])
@@ -230,6 +232,7 @@ def cycle_graph(k: int) -> Graph:
 
 def complete_graph(k: int) -> Graph:
     """Complete graph on k >= 1 vertices."""
+    k = _integer(k, "family 'complete' parameter")
     if k < 1:
         raise GraphInputError(f"complete needs k >= 1, got {k}")
     return Graph(k, combinations(range(k), 2))
@@ -237,6 +240,7 @@ def complete_graph(k: int) -> Graph:
 
 def complete_bipartite_graph(m: int, k: int) -> Graph:
     """Complete bipartite graph with parts {0..m-1} and {m..m+k-1}."""
+    m, k = (_integer(p, "family 'complete_bipartite' parameter") for p in (m, k))
     if m < 1 or k < 1:
         raise GraphInputError(f"complete_bipartite needs both parts >= 1, got {m}, {k}")
     return Graph(m + k, product(range(m), range(m, m + k)))
@@ -244,6 +248,7 @@ def complete_bipartite_graph(m: int, k: int) -> Graph:
 
 def star_graph(k: int) -> Graph:
     """Star with center 0 and k >= 1 leaves 1..k (k+1 vertices total)."""
+    k = _integer(k, "family 'star' parameter")
     if k < 1:
         raise GraphInputError(f"star needs k >= 1 leaves, got {k}")
     return Graph(k + 1, ((0, i) for i in range(1, k + 1)))
@@ -264,6 +269,7 @@ def petersen_graph() -> Graph:
 def hypercube_graph(q: int) -> Graph:
     """q-dimensional hypercube: vertices are 0..2^q-1 read as bit strings,
     adjacent when they differ in exactly one bit."""
+    q = _integer(q, "family 'hypercube' parameter")
     if q < 1:
         raise GraphInputError(f"hypercube needs q >= 1, got {q}")
     n = 1 << q

@@ -194,13 +194,12 @@ def predistance_system(mu: SpectralMeasure) -> PredistanceSystem:
     return PredistanceSystem(p0 * p0, np.array(a), s * ratio, s / ratio)
 
 
-def spectral_excess_closed_form(mu: SpectralMeasure, phis: np.ndarray, n: int) -> float:
-    """r_d(0) directly from the spectrum:
+def spectral_excess_closed_form(spectrum: DistinctSpectrum, phis: np.ndarray) -> float:
+    """r_d(0) directly from the clustered spectrum:
 
         n * ( sum_i phi_0^2 / (m_i phi_i^2) )^(-1)
 
-    with m_i the eigenvalue multiplicities (n * weights).
+    with m_i the integer multiplicities the spectrum holds and n their sum.
     """
-    mults = mu.weights * n
-    total = float(np.sum(phis[0] ** 2 / (mults * phis**2)))
-    return n / total
+    total = float(np.sum(phis[0] ** 2 / (spectrum.mults * phis**2)))
+    return spectrum.n / total

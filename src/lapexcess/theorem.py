@@ -61,26 +61,25 @@ class Verdict(enum.Enum):
 class IntersectionArray:
     """Intersection numbers of a distance-regular graph.
 
-    b holds b_0..b_{D-1}, c holds c_1..c_D, a holds a_1..a_D, where for any
-    vertices u, v at distance i the neighbors of v split into c_i at
-    distance i-1 from u, a_i at distance i, and b_i at distance i+1.
+    b holds b_0..b_{D-1} and c holds c_1..c_D, where for any vertices u, v
+    at distance i the neighbors of v split into c_i at distance i-1 from u,
+    a_i at distance i, and b_i at distance i+1.  a is derived, never
+    stored, so it cannot disagree with the valency b_0.
     """
 
     b: tuple
     c: tuple
-    a: tuple
 
     def __post_init__(self):
-        if not (len(self.b) == len(self.c) == len(self.a)):
-            raise ValueError("b, c, a must all have length equal to the diameter")
+        if len(self.b) != len(self.c):
+            raise ValueError("b and c must both have length equal to the diameter")
         if any(x < 0 for seq in (self.b, self.c, self.a) for x in seq):
             raise ValueError("intersection numbers must be nonnegative")
-        if self.diameter >= 1:
-            k = self.b[0]
-            for i in range(1, self.diameter + 1):
-                b_i = self.b[i] if i < self.diameter else 0
-                if self.c[i - 1] + self.a[i - 1] + b_i != k:
-                    raise ValueError(f"c_{i} + a_{i} + b_{i} != {k}")
+
+    @property
+    def a(self) -> tuple:
+        """a_1..a_D, from a_i = b_0 - b_i - c_i with b_D = 0."""
+        return tuple(self.b[0] - b - c for b, c in zip((*self.b[1:], 0), self.c))
 
     @property
     def diameter(self) -> int:
@@ -192,8 +191,8 @@ def drg_oracle(g: Graph, dd: DistanceData):
             v=v,
             distance=i,
         )
-    c, a, b = (x.astype(int).tolist() for x in _counts(e1, e2, k))
-    return IntersectionArray(b=tuple(b[:-1]), c=tuple(c[1:]), a=tuple(a[1:]))
+    c, _, b = (x.astype(int).tolist() for x in _counts(e1, e2, k))
+    return IntersectionArray(b=tuple(b[:-1]), c=tuple(c[1:]))
 
 
 def _counts(s1, s2, k):
@@ -296,8 +295,7 @@ def analyze(
     """
     raw, vectors = eigenvalues_sym(laplacian_matrix(g), tol_eig)
     spectrum = cluster_spectrum(raw, tol_eig)
-    measure = SpectralMeasure.from_spectrum(spectrum)
-    system = predistance_system(measure)
+    system = predistance_system(SpectralMeasure.from_spectrum(spectrum))
     d = spectrum.d
 
     # r_d(0) = <r_d, r_d>, as the Lanczos basis gave it
@@ -305,7 +303,7 @@ def analyze(
     if not math.isfinite(r_d0):
         raise InternalCheckError(f"spectral excess r_d(0) is not finite: {r_d0!r}")
     phis = phi_products(spectrum)
-    closed = spectral_excess_closed_form(measure, phis, g.n)
+    closed = spectral_excess_closed_form(spectrum, phis)
     # written so that a NaN on either side trips it
     if not abs(closed - r_d0) <= tol_eq * max(1.0, abs(r_d0)):
         raise InternalCheckError(

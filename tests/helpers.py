@@ -1,7 +1,9 @@
 """Small builders shared across test modules."""
 
 import math
+import random
 from fractions import Fraction
+from itertools import combinations
 from types import SimpleNamespace
 
 import networkx as nx
@@ -50,6 +52,13 @@ def random_connected_graph(rng, n: int, extra_edges: int = 0) -> Graph:
     return Graph(n, edges)
 
 
+def gnp_graph(n: int, p: float, seed: int) -> Graph:
+    """Erdos-Renyi G(n, p): each pair of vertices is an edge with
+    probability p, drawn in lexicographic order from random.Random(seed)."""
+    rng = random.Random(seed)
+    return Graph(n, [pair for pair in combinations(range(n), 2) if rng.random() < p])
+
+
 def paw_graph() -> Graph:
     """Triangle with a pendant vertex: diameter 2 but four distinct
     Laplacian eigenvalues, so d exceeds the diameter."""
@@ -85,6 +94,13 @@ def poison_distance(monkeypatch, u: int, v: int, value: int) -> None:
         return DistanceData(dist, dd.diameter)
 
     monkeypatch.setattr(theorem, "distance_data", poisoned)
+
+
+def poison_average_excess(monkeypatch, change) -> None:
+    """Make theorem.average_excess return change(k), where k is the value
+    it computes."""
+    real = theorem.average_excess
+    monkeypatch.setattr(theorem, "average_excess", lambda dd, d: change(real(dd, d)))
 
 
 def inner_product(p, q, mu) -> float:
@@ -289,7 +305,6 @@ def reference_oracle(g: Graph, dd: DistanceData):
     return IntersectionArray(
         b=tuple(expected[i][2] for i in range(diam)),
         c=tuple(expected[i][0] for i in range(1, diam + 1)),
-        a=tuple(expected[i][1] for i in range(1, diam + 1)),
     )
 
 

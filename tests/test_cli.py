@@ -8,6 +8,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -16,6 +17,7 @@ import pytest
 from helpers import (
     overflow_polynomial,
     perturb_eigenvectors,
+    poison_average_excess,
     poison_basis,
     poison_distance,
     poison_spectral_excess,
@@ -75,6 +77,25 @@ def test_argparse_failures_exit_64(capsys):
         main(["analyze", "--gen", "petersen", "--no-oracle"])
     assert exc.value.code == 64
     capsys.readouterr()
+
+
+def test_non_number_tolerance_exits_64(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--gen", "path:4", "--tol-eig", "abc"])
+    assert exc.value.code == 64
+    assert capsys.readouterr().err.endswith(
+        "lapexcess analyze: error: argument --tol-eig: 'abc' is not a number\n"
+    )
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("complete:0", "complete needs k >= 1, got 0"),
+    ("complete_bipartite:0,3", "complete_bipartite needs both parts >= 1, got 0, 3"),
+    ("star:0", "star needs k >= 1 leaves, got 0"),
+])
+def test_empty_family_exits_64(capsys, spec, message):
+    assert main(["analyze", "--gen", spec]) == 64
+    assert capsys.readouterr() == ("", f"lapexcess: error: {message}\n")
 
 
 def test_missing_file_exits_64(tmp_path, capsys):
@@ -167,7 +188,7 @@ def test_unexpected_exceptions_exit_70(monkeypatch, capsys, error):
 
 
 def test_nan_closed_form_exits_70(monkeypatch, capsys):
-    monkeypatch.setattr(theorem, "spectral_excess_closed_form", lambda mu, phis, n: math.nan)
+    monkeypatch.setattr(theorem, "spectral_excess_closed_form", lambda spectrum, phis: math.nan)
     assert main(["analyze", "--gen", "petersen"]) == 70
     out, err = capsys.readouterr()
     assert out == ""
@@ -180,6 +201,23 @@ def test_nan_spectral_excess_exits_70(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert "r_d(0) is not finite" in err
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda k: math.nan, r"relative gap is not finite: \((\S+) - nan\) / \1 = nan"),
+    (lambda k: k + 1.0, r"average excess 7\.0 exceeds spectral excess \S+ by more than "
+     r"tolerance; this bound cannot fail, so the spectrum or clustering is wrong"),
+    (lambda k: k / 2, re.escape("spectral verdict says not distance-regular but the "
+     "combinatorial oracle found intersection array {3,2;1,1}")),
+], ids=["nan-gap", "average-above-spectral", "oracle-found-array"])
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_verdict_cross_checks_exit_70(monkeypatch, capsys, change, message, json_flag):
+    # petersen's average excess is 6; each change trips one check on it
+    poison_average_excess(monkeypatch, change)
+    assert main(["analyze", "--gen", "petersen", *json_flag]) == 70
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(f"lapexcess: internal error: {message}\n", err)
 
 
 @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])

@@ -14,6 +14,7 @@ from helpers import adjacency, neighbors, random_connected_graph, to_networkx
 import networkx as nx
 from lapexcess import (
     DisconnectedGraphError,
+    FAMILIES,
     Graph,
     GraphInputError,
     analyze,
@@ -91,6 +92,21 @@ def test_non_integer_input_raises():
         Graph(2.5)
     # numpy integers are integers
     assert generate("path", [np.int64(4)]) == path_graph(4)
+
+
+@pytest.mark.parametrize("family, params", [
+    ("path", (4.7,)),
+    ("cycle", (5.0,)),
+    ("complete", (3.5,)),
+    ("complete_bipartite", (2.0, 3)),
+    ("star", (2.5,)),
+    ("hypercube", (2.5,)),
+])
+def test_generators_refuse_non_integer_parameters(family, params):
+    # called directly, not through generate(), which reads them first
+    message = f"family {family!r} parameter must be an integer, got {params[0]!r}"
+    with pytest.raises(GraphInputError, match=f"^{re.escape(message)}$"):
+        FAMILIES[family][0](*params)
 
 
 def test_disconnected_rejected():

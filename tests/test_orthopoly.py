@@ -241,7 +241,7 @@ def test_hoffman_identity(random_systems):
 def test_closed_form_matches_evaluation(random_systems):
     for g, spectrum, mu, sys, _ in random_systems:
         phis = phi_products(spectrum)
-        closed = spectral_excess_closed_form(mu, phis, g.n)
+        closed = spectral_excess_closed_form(spectrum, phis)
         direct = predistance_values(sys, [0.0])[-1, 0]
         assert np.isclose(closed, sys.values_at_zero[-1], rtol=1e-8, atol=1e-12)
         assert np.isclose(closed, direct, rtol=1e-8, atol=1e-12)
@@ -261,8 +261,8 @@ def test_path_900_spectral_excess_from_normalization():
         assert not np.all(np.isfinite(reference_predistance(mu)[0][-1]))
     assert math.isfinite(r_d0)
     assert np.all(np.isfinite(predistance_values(sys, thetas)))
-    phis = phi_products(DistinctSpectrum(thetas, np.ones(n, dtype=int)))
-    closed = spectral_excess_closed_form(mu, phis, n)
+    spectrum = DistinctSpectrum(thetas, np.ones(n, dtype=int))
+    closed = spectral_excess_closed_form(spectrum, phi_products(spectrum))
     assert abs(r_d0 - closed) <= 1e-11 * closed
 
 

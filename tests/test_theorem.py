@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from helpers import (
     adjacency,
+    gnp_graph,
     overflow_polynomial,
     paw_graph,
     perturb_eigenvectors,
@@ -49,7 +50,8 @@ from lapexcess import (
     predistance_values,
     star_graph,
 )
-from lapexcess import graphs, theorem
+from lapexcess import format_edge_list, graphs, theorem
+from lapexcess.cli import main
 
 
 def prism_graph() -> Graph:
@@ -136,12 +138,18 @@ def test_oracle_refuses_prism():
 
 
 def test_intersection_array_validation():
-    with pytest.raises(ValueError):
-        IntersectionArray(b=(3, 2), c=(1,), a=(0, 2))
-    with pytest.raises(ValueError):
-        IntersectionArray(b=(3, 2), c=(1, 1), a=(0, 1))
-    with pytest.raises(ValueError):
-        IntersectionArray(b=(3, -2), c=(1, 1), a=(0, 4))
+    # a is derived from b and c, a_i = b_0 - b_i - c_i with b_D = 0
+    assert IntersectionArray(b=(3, 2), c=(1, 1)).a == (0, 2)
+    assert IntersectionArray(b=(), c=()).a == ()
+    with pytest.raises(ValueError, match="length"):
+        IntersectionArray(b=(3, 2), c=(1,))
+    with pytest.raises(ValueError, match="nonnegative"):
+        IntersectionArray(b=(3, -2), c=(1, 1))
+    # b_i + c_i > b_0 leaves a_i negative, at i < D and at i = D
+    with pytest.raises(ValueError, match="nonnegative"):
+        IntersectionArray(b=(3, 2), c=(2, 1))
+    with pytest.raises(ValueError, match="nonnegative"):
+        IntersectionArray(b=(2, 1), c=(1, 3))
 
 
 @pytest.mark.parametrize("value, counts", [
@@ -422,7 +430,7 @@ def test_three_eigenvalue_gamma_matches_system():
 # ---------------------------------------------------------------------------
 
 def test_nan_closed_form_raises(monkeypatch):
-    monkeypatch.setattr(theorem, "spectral_excess_closed_form", lambda mu, phis, n: math.nan)
+    monkeypatch.setattr(theorem, "spectral_excess_closed_form", lambda spectrum, phis: math.nan)
     with pytest.raises(InternalCheckError, match="disagrees between routes"):
         analyze(petersen_graph())
 
@@ -687,3 +695,27 @@ def test_random_regular_graph_matches_networkx(k, h):
     assert (a.verdict is Verdict.DISTANCE_REGULAR) == drg
     if drg:
         assert (list(a.oracle.b), list(a.oracle.c)) == array
+
+
+@pytest.mark.xfail(
+    raises=InternalCheckError,
+    strict=True,
+    reason="ROADMAP item 1: p_i(0) of a generic graph falls below the ~1e-16 "
+    "absolute error Lanczos leaves, so predistance_system's sign check trips",
+)
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("n, p", [(30, 0.5), (50, 0.5), (120, 0.3)])
+def test_generic_random_graph_is_decided(tmp_path, capsys, n, p, seed):
+    """Each of these graphs has a simple spectrum and diameter 2, so d =
+    n - 1 exceeds the diameter, no vertex has anything at distance d, and
+    the graph is not distance-regular with relative gap exactly 1."""
+    g = gnp_graph(n, p, seed)
+    a = analyze(g)
+    assert (a.spectrum.d, a.distances.diameter) == (n - 1, 2)
+    assert a.relative_gap == 1.0
+    assert a.verdict is Verdict.NOT_DISTANCE_REGULAR
+    assert isinstance(a.oracle, OracleRefusal)
+    target = tmp_path / "gnp.txt"
+    target.write_text(format_edge_list(g))
+    assert main(["analyze", str(target)]) == 1
+    capsys.readouterr()

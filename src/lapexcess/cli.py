@@ -10,7 +10,8 @@ verdict on success:
     0   distance_regular
     1   not_distance_regular
     2   inconclusive
-    64  unusable input: bad flags, malformed edge list, unknown family
+    64  unusable input: bad flags, malformed edge list, unknown family,
+        no input source or both an edge list and --gen
     65  the graph is not connected
     70  internal failure: an InternalCheckError (a failed eigendecomposition
         certificate, a misclustered spectrum, a violated invariant), or any
@@ -63,10 +64,6 @@ _VERDICT_EXIT = {
     Verdict.NOT_DISTANCE_REGULAR: 1,
     Verdict.INCONCLUSIVE: 2,
 }
-
-
-class _UsageError(Exception):
-    """Command-line misuse detected after argparse (e.g. no input given)."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -193,12 +190,12 @@ def _parse_family_spec(spec: str):
 
 def _load_graph(args) -> Graph:
     if args.gen is not None and args.input is not None:
-        raise _UsageError("give an edge-list input or --gen, not both")
+        raise GraphInputError("give an edge-list input or --gen, not both")
     if args.gen is not None:
         family, params = _parse_family_spec(args.gen)
         return generate(family, params)
     if args.input is None:
-        raise _UsageError("no input: give an edge-list path, '-' for stdin, or --gen")
+        raise GraphInputError("no input: give an edge-list path, '-' for stdin, or --gen")
     try:
         if args.input == "-":
             text = sys.stdin.read()
@@ -248,7 +245,7 @@ def main(argv=None) -> int:
     except DisconnectedGraphError as exc:
         print(f"lapexcess: error: {exc}", file=sys.stderr)
         return EXIT_DISCONNECTED
-    except (_UsageError, GraphInputError) as exc:
+    except GraphInputError as exc:
         print(f"lapexcess: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InternalCheckError as exc:

@@ -4,8 +4,9 @@ The Laplacian is factored once, by ``eigenvalues_sym``: one
 ``numpy.linalg.eigh`` call (LAPACK; Anderson et al., *LAPACK Users' Guide*,
 1999) gives the eigenvalues and an eigenbasis, certified together by their
 backward error, then the eigenvalues are clustered into distinct values
-with multiplicities.  The bits are deterministic for a fixed BLAS thread
-count.
+with multiplicities.  The matrix must be exactly symmetric; it is refused,
+not symmetrized, so the certificate is about the matrix given.  The bits
+are deterministic for a fixed BLAS thread count.
 """
 
 from __future__ import annotations
@@ -32,9 +33,10 @@ def absolute_tol(raw, tol: float) -> float:
 def eigenvalues_sym(m: np.ndarray, tol: float = DEFAULT_CLUSTER_TOL):
     """(values, V) of a dense symmetric matrix m: eigh's ascending
     eigenvalues and orthonormal eigenbasis, certified by
-    max|m V - V diag(values)| <= absolute_tol(values, tol).  Rounding-level
-    asymmetry is averaged away.  Raises ValueError if m is not square and
-    symmetric, InternalCheckError if the certificate fails, and
+    max|m V - V diag(values)| <= absolute_tol(values, tol).  m must be
+    exactly symmetric, so the certificate attests m itself: any asymmetry,
+    however small, raises ValueError, as does a non-square m.  Raises
+    InternalCheckError if the certificate fails, and
     numpy.linalg.LinAlgError if LAPACK does not converge.
     """
     a = np.asarray(m, dtype=float)
@@ -42,9 +44,7 @@ def eigenvalues_sym(m: np.ndarray, tol: float = DEFAULT_CLUSTER_TOL):
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if not np.array_equal(a, a.T):
         asym = float(np.abs(a - a.T).max())
-        if asym > 1e-12 * max(1.0, float(np.abs(a).max())):
-            raise ValueError(f"matrix is not symmetric (max asymmetry {asym:g})")
-        a = (a + a.T) / 2.0
+        raise ValueError(f"matrix is not symmetric (max asymmetry {asym:g})")
     values, vectors = np.linalg.eigh(a)
     bound = absolute_tol(values, tol)
     backward = float(np.abs(a @ vectors - vectors * values).max())

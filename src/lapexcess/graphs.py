@@ -23,8 +23,9 @@ import numpy as np
 
 class GraphInputError(ValueError):
     """Unusable graph input: a malformed edge list, a non-integer vertex
-    count or endpoint, a loop, an endpoint out of range, or an unknown
-    family or bad parameters for a generator."""
+    count or endpoint, a loop, an endpoint out of range, an unknown family
+    or bad parameters for a generator, or an input source that is missing,
+    unreadable or given twice (a file and a generated family)."""
 
 
 class DisconnectedGraphError(GraphInputError):
@@ -292,13 +293,14 @@ def generate(family: str, params=()) -> Graph:
     """Build a named graph family with the given integer parameters.
 
     Families and arities: path(k), cycle(k), complete(k),
-    complete_bipartite(m, k), star(k), petersen(), hypercube(q).
+    complete_bipartite(m, k), star(k), petersen(), hypercube(q).  Each
+    generator reads its own parameters; this checks only their count.
     """
     if family not in FAMILIES:
         known = ", ".join(sorted(FAMILIES))
         raise GraphInputError(f"unknown family {family!r} (known: {known})")
     func, arity = FAMILIES[family]
-    params = tuple(_integer(p, f"family {family!r} parameter") for p in params)
+    params = tuple(params)
     if len(params) != arity:
         raise GraphInputError(
             f"family {family!r} takes {arity} parameter(s), got {len(params)}"

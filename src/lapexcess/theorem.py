@@ -81,10 +81,6 @@ class IntersectionArray:
         """a_1..a_D, from a_i = b_0 - b_i - c_i with b_D = 0."""
         return tuple(self.b[0] - b - c for b, c in zip((*self.b[1:], 0), self.c))
 
-    @property
-    def diameter(self) -> int:
-        return len(self.b)
-
     def __str__(self) -> str:
         bs = ",".join(str(x) for x in self.b)
         cs = ",".join(str(x) for x in self.c)

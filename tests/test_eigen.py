@@ -4,6 +4,7 @@ trace identities of a graph Laplacian.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -228,10 +229,13 @@ def test_rejects_bad_input():
         eigenvalues_sym(np.array([[0.0, 1.0], [2.0, 0.0]]))
 
 
-def test_tolerates_rounding_level_asymmetry():
+def test_refuses_rounding_level_asymmetry():
+    # the certificate attests the matrix given, so a matrix is refused, not
+    # symmetrized, however small its asymmetry
     m = np.array([[2.0, 1.0], [1.0 + 1e-15, 2.0]])
-    got = eigenvalues_sym(m)[0]
-    assert np.allclose(got, [1.0, 3.0], atol=1e-12)
+    message = "matrix is not symmetric (max asymmetry 1.11022e-15)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        eigenvalues_sym(m)
 
 
 # ---------------------------------------------------------------------------

@@ -103,7 +103,8 @@ def test_non_integer_input_raises():
     ("hypercube", (2.5,)),
 ])
 def test_generators_refuse_non_integer_parameters(family, params):
-    # called directly, not through generate(), which reads them first
+    # each generator reads its own parameters, called directly or through
+    # generate()
     message = f"family {family!r} parameter must be an integer, got {params[0]!r}"
     with pytest.raises(GraphInputError, match=f"^{re.escape(message)}$"):
         FAMILIES[family][0](*params)
@@ -300,6 +301,9 @@ def test_generate_errors():
         ("nosuch", (3,), f"unknown family 'nosuch' (known: {known})"),
         ("path", (), "family 'path' takes 1 parameter(s), got 0"),
         ("petersen", (1,), "family 'petersen' takes 0 parameter(s), got 1"),
+        # generate() checks the count only, so a wrong count comes first
+        ("petersen", (1.5,), "family 'petersen' takes 0 parameter(s), got 1"),
+        ("path", (4.7,), "family 'path' parameter must be an integer, got 4.7"),
         ("cycle", (2,), "cycle needs k >= 3, got 2"),
         ("hypercube", (0,), "hypercube needs q >= 1, got 0"),
     ]:

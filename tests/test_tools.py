@@ -33,9 +33,13 @@ def test_digest_pins_the_bytes(capsys):
         "path:128     4d06a79284c6de9ed8c69400dd675a87a682b836a8e152524adf0524e56753c0  (4 calls)",
         "hypercube:6  fd7cce2ff6590cc36a32f77b2c19b599e8d81331c9775ee977ce57268080cb69  (4 calls)",
         "petersen     e2da3653b013804158e205b1c5e13f1cfe10970872bca2040f29eb5356fae2f8  (4 calls)",
+        "complete:6   ea9337a6d003e5b3bc47048af4dddd6385354613b175d846aca0a9ee47096011  (4 calls)",
+        "complete_bipartite:3:4 d5ea041e991de18db56a23c6334f7d3676a215bd065ddb8adc3035be624818e9  (4 calls)",
+        "star:5       d32c391805a50a5167028a11937de3e74725aaea420db72ca448e4bb1f6abded  (4 calls)",
         "errors       fa916829f5054d77784058eb0823e129bd32b015e6ad8cc33236db0958dc12ab  (6 calls)",
         "inputs       7ca5f1c9f6636d60f5e40080957dbeb9074c6b8f12b62c057bb0f2581e124152  (17 calls)",
-        "all          762c39b6111feb0e87c67349406636702a12c582691f7fa875f00df6c668d979",
+        "gen          f3711451f7716ebc8ce81915739a14442400df8ad68a920aaa92ae586cb104fe  (9 calls)",
+        "all          764f9eac2018983587a4e7022de5d8a5d2d24098bdd84e3bb51bb1c8e8e8af58",
     ]
 
 

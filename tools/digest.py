@@ -13,8 +13,9 @@ Specs:
 * ``atlas``: ``analyze - --json``, ``analyze -`` and ``spectrum - --json``
   on the edge-list text of each of the 996 connected graphs of the networkx
   graph atlas (n <= 7; networkx comes with the test extra);
-* ``cycle:128``, ``path:128``, ``hypercube:6``, ``petersen``: ``analyze``
-  and ``spectrum`` on ``--gen SPEC``, each with and without ``--json``;
+* ``cycle:128``, ``path:128``, ``hypercube:6``, ``petersen``,
+  ``complete:6``, ``complete_bipartite:3:4``, ``star:5``: ``analyze`` and
+  ``spectrum`` on ``--gen SPEC``, each with and without ``--json``;
 * ``errors``: the failure paths, one call each.  ``analyze`` and
   ``spectrum`` on ``--gen path:5 --tol-eig 0.5`` (a merged zero cluster,
   exit 70), ``analyze - --tol-eig 0.23`` on K_{2,3,4} (diameter above d,
@@ -25,7 +26,10 @@ Specs:
   malformed texts of ``tests/test_graphs.py::test_parse_rejects_malformed``
   on stdin; ``--gen`` with an unknown family, a wrong arity, a non-integer
   parameter and ``path:0``; a missing file; a file together with
-  ``--gen``; and no input at all.
+  ``--gen``; and no input at all;
+* ``gen``: the edge list ``gen`` prints for each family, the bytes that
+  ``gen SPEC | analyze -`` reads, and ``analyze -`` on an edge list with a
+  comment line, a blank line and a trailing comment.
 
 Prints one line per spec (its SHA-256 and the number of calls) and a last
 line with the SHA-256 over all of them.
@@ -41,8 +45,11 @@ import sys
 from lapexcess import cli
 from lapexcess.graphs import Graph, format_edge_list
 
-GENERATED = ("cycle:128", "path:128", "hypercube:6", "petersen")
-SPECS = ("atlas",) + GENERATED + ("errors", "inputs")
+GENERATED = (
+    "cycle:128", "path:128", "hypercube:6", "petersen",
+    "complete:6", "complete_bipartite:3:4", "star:5",
+)
+SPECS = ("atlas",) + GENERATED + ("errors", "inputs", "gen")
 ATLAS_ARGVS = (["analyze", "-", "--json"], ["analyze", "-"], ["spectrum", "-", "--json"])
 # K_{2,3,4}: the part of each of its 9 vertices, and an edge across parts
 PARTS = (0, 0, 1, 1, 1, 2, 2, 2, 2)
@@ -76,6 +83,13 @@ INPUTS = tuple((["analyze", "-"], text) for text in MALFORMED) + tuple(
     )
 )
 
+# both spellings of a two-parameter spec, and every family
+GEN = (
+    "path:4", "cycle:5", "complete:4", "complete_bipartite:2:3",
+    "complete_bipartite:2,3", "star:3", "petersen", "hypercube:3",
+)
+COMMENTED = "# the 4-cycle\n0 1\n1 2\n\n2 3  # a trailing comment\n0 3\n"
+
 
 def atlas_texts() -> list:
     """Edge-list text of every connected atlas graph, vertices renumbered
@@ -105,6 +119,11 @@ def calls(spec: str):
         return
     if spec == "inputs":
         yield from INPUTS
+        return
+    if spec == "gen":
+        for family in GEN:
+            yield ["gen", family], ""
+        yield ["analyze", "-"], COMMENTED
         return
     for command in ("analyze", "spectrum"):
         for extra in ([], ["--json"]):

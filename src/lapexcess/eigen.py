@@ -26,7 +26,11 @@ class InternalCheckError(RuntimeError):
 
 
 def absolute_tol(raw, tol: float) -> float:
-    """tol * max(1, spectral radius of the ascending raw eigenvalues)."""
+    """tol * max(1, spectral radius of the ascending raw eigenvalues), the
+    one threshold of the certificate and the clustering.  Raises
+    ValueError unless 0 < tol < inf, so for NaN too."""
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"eigenvalue tolerance must be a positive finite number, got {tol!r}")
     return tol * max(1.0, abs(float(raw[0])), abs(float(raw[-1])))
 
 
@@ -35,7 +39,8 @@ def eigenvalues_sym(m: np.ndarray, tol: float = DEFAULT_CLUSTER_TOL):
     eigenvalues and orthonormal eigenbasis, certified by
     max|m V - V diag(values)| <= absolute_tol(values, tol).  m must be
     exactly symmetric, so the certificate attests m itself: any asymmetry,
-    however small, raises ValueError, as does a non-square m.  Raises
+    however small, raises ValueError, as do a non-square m and a tol that
+    is not a positive finite number.  Raises
     InternalCheckError if the certificate fails, and
     numpy.linalg.LinAlgError if LAPACK does not converge.
     """
@@ -98,13 +103,13 @@ def cluster_spectrum(raw: np.ndarray, tol: float = DEFAULT_CLUSTER_TOL) -> Disti
     more than one eigenvalue (for a graph built by this package, which is
     connected, that means the tolerance merged distinct eigenvalues) or
     when it is not zero within tolerance.  The values are ascending, so
-    every later cluster is then positive.
+    every later cluster is then positive.  Raises ValueError for a raw
+    that is empty, not 1-d or not ascending, or a tol that absolute_tol
+    refuses.
     """
     raw = np.asarray(raw, dtype=float)
     if raw.ndim != 1 or len(raw) == 0:
         raise ValueError("raw spectrum must be a nonempty 1-d array")
-    if tol <= 0:
-        raise ValueError(f"clustering tolerance must be positive, got {tol}")
     values = raw.tolist()
     if any(b < a for a, b in zip(values, values[1:])):
         raise ValueError("raw spectrum must be sorted ascending")

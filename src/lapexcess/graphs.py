@@ -154,13 +154,11 @@ def parse_edge_list(text: str) -> Graph:
     """
     declared_n = None
     pairs = []
-    top = -1
-    first = True
     for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split("#", 1)[0].split()
         if not parts:
             continue
-        if first and parts[0] == "n":
+        if parts[0] == "n" and declared_n is None and not pairs:
             if len(parts) != 2:
                 raise GraphInputError(f"line {lineno}: malformed vertex-count line {raw!r}")
             try:
@@ -169,9 +167,7 @@ def parse_edge_list(text: str) -> Graph:
                 raise GraphInputError(f"line {lineno}: bad vertex count {parts[1]!r}") from None
             if declared_n < 1:
                 raise GraphInputError(f"line {lineno}: vertex count must be positive")
-            first = False
             continue
-        first = False
         if len(parts) != 2:
             raise GraphInputError(f"line {lineno}: expected 'u v', got {raw!r}")
         try:
@@ -182,12 +178,9 @@ def parse_edge_list(text: str) -> Graph:
             raise GraphInputError(f"line {lineno}: negative vertex index in {raw!r}")
         if u == v:
             raise GraphInputError(f"line {lineno}: self-loop at vertex {u}")
-        if u > top:
-            top = u
-        if v > top:
-            top = v
         pairs.append((u, v))
 
+    top = max(map(max, pairs), default=-1)
     if declared_n is None:
         if not pairs:
             raise GraphInputError("empty input: no vertices or edges")

@@ -4,53 +4,26 @@ A report is a versioned document ("schema": 3) of builtins only (dict,
 list, str, int, float, bool and None): :func:`build_document` makes one
 from an Analysis and :func:`spectrum_document` one from a clustered
 spectrum.  The document alone decides what a report says.  :func:`dumps`
-writes it with the standard library's encoder as one compact line; Python
-prints each float in the shortest form that parses back to the same
-double, so the document round-trips losslessly, and a non-finite value
-raises ValueError that names its path in the document.  The text
-renderers read the same document, so the text of a report is a function
-of its JSON.  The text report's centerpiece is the recurrence table with
+is the standard library's encoder, writing one line; Python prints each
+float in the shortest form that parses back to the same double, so the
+document round-trips losslessly.  Every value of a pipeline document is
+finite: with both tolerances positive and finite, each value is checked,
+or feeds a check, before a document is built.  A NaN or an infinity that
+still got in raises the encoder's own ValueError.  The text renderers
+read the same document, so the text of a report is a function of its
+JSON.  The text report's centerpiece is the recurrence table with
 rows beta_i, alpha_i, gamma_i.
 """
 
 from __future__ import annotations
 
 import json
-import math
 
 from .theorem import Analysis, IntersectionArray, per_vertex_excess
 
 SCHEMA_VERSION = 3
 
-_encode = json.JSONEncoder(allow_nan=False).encode
-
-
-def dumps(obj) -> str:
-    """obj as one line of JSON; raises ValueError on a non-finite float,
-    naming the first one's path, e.g. ``predistance.alpha[1]``."""
-    try:
-        return _encode(obj)
-    except ValueError as exc:
-        # the encoder's words for a NaN or an infinity, as opposed to,
-        # say, a circular reference
-        if not str(exc).startswith("Out of range float values"):
-            raise
-        path, value = _first_non_finite(obj, "")
-        raise ValueError(f"non-finite value {value!r} at {path}") from None
-
-
-def _first_non_finite(obj, path: str):
-    """(path, value) of the first non-finite float in document order, or
-    None when every float is finite.  obj holds no reference cycle."""
-    if isinstance(obj, float):
-        return None if math.isfinite(obj) else (path, obj)
-    if isinstance(obj, dict):
-        children = ((f"{path}.{key}" if path else str(key), v) for key, v in obj.items())
-    elif isinstance(obj, (list, tuple)):
-        children = ((f"{path}[{i}]", v) for i, v in enumerate(obj))
-    else:
-        return None
-    return next(filter(None, (_first_non_finite(v, p) for p, v in children)), None)
+dumps = json.JSONEncoder(allow_nan=False).encode
 
 
 # ---------------------------------------------------------------------------

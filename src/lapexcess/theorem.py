@@ -287,8 +287,11 @@ def analyze(
     between the two routes, oracle counts that no distance matrix can
     give, or a decisive verdict the oracle contradicts raises
     InternalCheckError rather than returning a report that contradicts the
-    theorem.
+    theorem.  A tol_eq or tol_eig that is not a positive finite number is
+    the caller's error, not the computation's, and raises ValueError.
     """
+    if not 0.0 < tol_eq < math.inf:
+        raise ValueError(f"equality tolerance must be a positive finite number, got {tol_eq!r}")
     raw, vectors = eigenvalues_sym(laplacian_matrix(g), tol_eig)
     spectrum = cluster_spectrum(raw, tol_eig)
     system = predistance_system(SpectralMeasure.from_spectrum(spectrum))

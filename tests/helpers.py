@@ -8,7 +8,6 @@ from types import SimpleNamespace
 
 import networkx as nx
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 from lapexcess import (
     DistanceData,
@@ -17,18 +16,11 @@ from lapexcess import (
     IntersectionArray,
     OracleRefusal,
     PredistanceSystem,
-    phi_products,
     theorem,
 )
 
-
-def trim(coeffs) -> np.ndarray:
-    """Drop trailing zero coefficients; the zero polynomial becomes empty."""
-    c = np.asarray(coeffs, dtype=float)
-    nz = np.nonzero(c)[0]
-    if len(nz) == 0:
-        return np.zeros(0)
-    return c[: nz[-1] + 1].copy()
+# a tolerance must be a positive finite number: each of these is refused
+BAD_TOLERANCES = (0.0, -1e-8, math.inf, math.nan)
 
 
 def random_connected_graph(rng, n: int, extra_edges: int = 0) -> Graph:
@@ -101,11 +93,6 @@ def poison_average_excess(monkeypatch, change) -> None:
     it computes."""
     real = theorem.average_excess
     monkeypatch.setattr(theorem, "average_excess", lambda dd, d: change(real(dd, d)))
-
-
-def inner_product(p, q, mu) -> float:
-    """<p, q> = sum_i w_i p(theta_i) q(theta_i) over the measure's nodes."""
-    return float(np.sum(mu.weights * P.polyval(mu.thetas, p) * P.polyval(mu.thetas, q)))
 
 
 def poison_spectral_excess(monkeypatch) -> None:
@@ -194,25 +181,6 @@ def poison_basis(monkeypatch, value: float) -> None:
         return out
 
     monkeypatch.setattr(theorem, "predistance_values", poisoned)
-
-
-def idempotent(lap: np.ndarray, s: DistinctSpectrum, i: int) -> np.ndarray:
-    """Spectral projector onto the eigenspace of theta_i, computed as the
-    matrix polynomial (1/phi_i) * prod_{j != i} (L - theta_j I).
-
-    No eigenvectors are materialized.  The projector for theta_0 = 0 of a
-    connected Laplacian is J/n.  Output is symmetrized.
-    """
-    if not 0 <= i <= s.d:
-        raise IndexError(f"eigenvalue index {i} out of range 0..{s.d}")
-    n = lap.shape[0]
-    phis = phi_products(s)
-    f = np.eye(n)
-    for j in range(s.d + 1):
-        if j != i:
-            f = f @ (lap - s.thetas[j] * np.eye(n))
-    f /= phis[i]
-    return (f + f.T) / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +407,7 @@ def reference_hoffman(mu, n: int) -> np.ndarray:
     for theta in mu.thetas[1:]:
         h = np.convolve(h, np.array([-theta, 1.0]))
         phi0 *= -theta
-    return trim(n / phi0 * h)
+    return n / phi0 * h
 
 
 def reference_eval_matrix(p, m: np.ndarray) -> np.ndarray:

@@ -9,7 +9,7 @@ import re
 import numpy as np
 import pytest
 from helpers import (
-    idempotent,
+    BAD_TOLERANCES,
     permute_graph,
     random_connected_graph,
     reference_phi_products,
@@ -281,8 +281,14 @@ def test_cluster_rejections():
         cluster_spectrum(np.array([1.0, 0.0]))  # unsorted
     with pytest.raises(ValueError):
         cluster_spectrum(np.array([]))
-    with pytest.raises(ValueError):
-        cluster_spectrum(np.array([0.0, 1.0]), tol=0.0)
+    # a tolerance that is not a positive finite number is the caller's
+    # error, refused by both functions that read one
+    lap = laplacian_matrix(cycle_graph(4))
+    for bad in BAD_TOLERANCES:
+        with pytest.raises(ValueError, match=r"^eigenvalue tolerance must be a positive finite"):
+            cluster_spectrum(np.array([0.0, 1.0]), tol=bad)
+        with pytest.raises(ValueError, match=r"^eigenvalue tolerance must be a positive finite"):
+            eigenvalues_sym(lap, bad)
 
 
 def test_min_gap():
@@ -292,7 +298,7 @@ def test_min_gap():
 
 
 # ---------------------------------------------------------------------------
-# Gap products and idempotents
+# Gap products
 # ---------------------------------------------------------------------------
 
 def test_phi_products_direct():
@@ -368,25 +374,3 @@ def test_phi_past_the_float_range_raises():
 def test_phi_single_eigenvalue():
     s = DistinctSpectrum(np.array([0.0]), np.array([1]))
     assert np.array_equal(phi_products(s), [1.0])
-
-
-def test_idempotents_are_projectors():
-    g = petersen_graph()
-    lap = laplacian_matrix(g)
-    s = cluster_spectrum(eigenvalues_sym(lap)[0])
-    n = g.n
-    total = np.zeros((n, n))
-    for i in range(s.d + 1):
-        f = idempotent(lap, s, i)
-        assert np.allclose(f @ f, f, atol=1e-10)
-        assert np.allclose(lap @ f, s.thetas[i] * f, atol=1e-9)
-        total += f
-    assert np.allclose(total, np.eye(n), atol=1e-10)
-    assert np.allclose(idempotent(lap, s, 0), np.full((n, n), 1.0 / n), atol=1e-10)
-
-
-def test_idempotent_index_range():
-    lap = laplacian_matrix(cycle_graph(4))
-    s = cluster_spectrum(eigenvalues_sym(lap)[0])
-    with pytest.raises(IndexError):
-        idempotent(lap, s, 3)

@@ -14,13 +14,11 @@ import numpy as np
 import pytest
 from helpers import (
     exact_predistance,
-    inner_product,
     max_relative_error,
     random_connected_graph,
     reference_eval_matrix,
     reference_hoffman,
     reference_predistance,
-    trim,
 )
 from numpy.polynomial import polynomial as P
 
@@ -51,14 +49,8 @@ def _measure_for(g):
 
 
 # ---------------------------------------------------------------------------
-# Coefficient arithmetic
+# Evaluation in the predistance basis
 # ---------------------------------------------------------------------------
-
-def test_trim():
-    assert np.array_equal(trim([1.0, 2.0, 0.0, 0.0]), [1.0, 2.0])
-    assert len(trim([0.0, 0.0])) == 0
-    assert len(trim([])) == 0
-
 
 def test_eval_routes_agree():
     # at a diagonal matrix, eval_matrix is the polynomial at each entry,
@@ -106,11 +98,6 @@ def test_measure_validation():
         SpectralMeasure(np.array([0.0, 1.0]), np.array([1.5, -0.5]))
     with pytest.raises(ValueError):
         SpectralMeasure(np.array([0.0, 1.0]), np.array([0.3, 0.3]))
-
-
-def test_inner_product_of_ones_is_one():
-    _, mu = _measure_for(petersen_graph())
-    assert np.isclose(inner_product([1.0], [1.0], mu), 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import networkx as nx
 import numpy as np
 import pytest
 from helpers import (
+    BAD_TOLERANCES,
     adjacency,
     gnp_graph,
     overflow_polynomial,
@@ -308,13 +309,6 @@ def test_paw_has_d_beyond_diameter():
     assert a.verdict is Verdict.NOT_DISTANCE_REGULAR
 
 
-def test_report_average_matches_per_vertex_mean():
-    for g in (petersen_graph(), path_graph(5), prism_graph()):
-        rep = analyze(g)
-        per_vertex = build_document(rep)["excess"]["per_vertex"]
-        assert rep.average_excess == pytest.approx(float(np.mean(per_vertex)))
-
-
 def test_relabeling_invariance():
     rng = np.random.default_rng(314)
     base = [petersen_graph(), prism_graph(), random_connected_graph(rng, 9, 5)]
@@ -340,6 +334,19 @@ def test_sloppy_tolerance_trips_oracle_audit():
     # disagrees and the pipeline must refuse to return the report
     with pytest.raises(InternalCheckError):
         analyze(path_graph(4), tol_eq=0.5)
+
+
+@pytest.mark.parametrize("bad", BAD_TOLERANCES)
+@pytest.mark.parametrize(
+    "name, label", [("tol_eig", "eigenvalue"), ("tol_eq", "equality")], ids=["tol_eig", "tol_eq"]
+)
+def test_bad_tolerances_are_refused(name, label, bad):
+    # the caller's error, refused where the tolerance enters: not blamed on
+    # the computation as InternalCheckError (a RuntimeError), and not
+    # passed on to a report that dumps would then refuse
+    with pytest.raises(ValueError) as info:
+        analyze(petersen_graph(), **{name: bad})
+    assert str(info.value) == f"{label} tolerance must be a positive finite number, got {bad!r}"
 
 
 def test_corpus_structural_invariants(analyzed_corpus):

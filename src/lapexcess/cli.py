@@ -10,8 +10,8 @@ verdict on success:
     0   distance_regular
     1   not_distance_regular
     2   inconclusive
-    64  unusable input: bad flags, malformed edge list, unknown family,
-        no input source or both an edge list and --gen
+    64  unusable input: a bad flag or tolerance outside [2**-52, 1), a bad
+        edge list or family, no input source or both an edge list and --gen
     65  the graph is not connected
     70  internal failure: an InternalCheckError (a failed eigendecomposition
         certificate, a misclustered spectrum, a violated invariant), or any
@@ -23,12 +23,12 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import sys
 
 from .eigen import (
     DEFAULT_CLUSTER_TOL,
     InternalCheckError,
+    check_tolerance,
     cluster_spectrum,
     eigenvalues_sym,
     phi_products,
@@ -76,14 +76,15 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _positive_float(text: str) -> float:
+def _tolerance(name: str, text: str) -> float:
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
-    if not math.isfinite(value) or value <= 0.0:
-        raise argparse.ArgumentTypeError("tolerance must be a positive finite number")
-    return value
+    try:
+        return check_tolerance(value, name)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 @functools.cache
@@ -124,12 +125,12 @@ def _parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--tol-eig",
-            type=_positive_float,
+            type=functools.partial(_tolerance, "eigenvalue"),
             default=DEFAULT_CLUSTER_TOL,
             metavar="REL",
             help=(
                 "eigenvalue clustering tolerance, relative to the spectral "
-                "radius (default %(default)g)"
+                "radius, in [2**-52, 1) (default %(default)g)"
             ),
         )
 
@@ -140,12 +141,12 @@ def _parser() -> argparse.ArgumentParser:
     add_input_options(p_analyze)
     p_analyze.add_argument(
         "--tol-eq",
-        type=_positive_float,
+        type=functools.partial(_tolerance, "equality"),
         default=DEFAULT_EQUALITY_TOL,
         metavar="REL",
         help=(
-            "excess equality tolerance, relative to the spectral excess "
-            "(default %(default)g)"
+            "excess equality tolerance, relative to the spectral excess, "
+            "in [2**-52, 1) (default %(default)g)"
         ),
     )
     p_analyze.set_defaults(func=_cmd_analyze)

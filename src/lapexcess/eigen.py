@@ -25,13 +25,19 @@ class InternalCheckError(RuntimeError):
     such check in the package raises this one type."""
 
 
+def check_tolerance(tol: float, name: str) -> float:
+    """tol if 2**-52 <= tol < 1, else ValueError naming the tolerance.  Below
+    the unit roundoff no float comparison can meet tol; from 1 up every
+    eigenvalue merges, and the equality band holds every relative gap."""
+    if not 2.0**-52 <= tol < 1.0:
+        raise ValueError(f"{name} tolerance must lie in [2**-52, 1), got {tol!r}")
+    return tol
+
+
 def absolute_tol(raw, tol: float) -> float:
-    """tol * max(1, spectral radius of the ascending raw eigenvalues), the
-    one threshold of the certificate and the clustering.  Raises
-    ValueError unless 0 < tol < inf, so for NaN too."""
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"eigenvalue tolerance must be a positive finite number, got {tol!r}")
-    return tol * max(1.0, abs(float(raw[0])), abs(float(raw[-1])))
+    """check_tolerance(tol) * max(1, spectral radius of the ascending raw
+    eigenvalues), the one threshold of the certificate and the clustering."""
+    return check_tolerance(tol, "eigenvalue") * max(1.0, abs(float(raw[0])), abs(float(raw[-1])))
 
 
 def eigenvalues_sym(m: np.ndarray, tol: float = DEFAULT_CLUSTER_TOL):
@@ -40,9 +46,8 @@ def eigenvalues_sym(m: np.ndarray, tol: float = DEFAULT_CLUSTER_TOL):
     max|m V - V diag(values)| <= absolute_tol(values, tol).  m must be
     exactly symmetric, so the certificate attests m itself: any asymmetry,
     however small, raises ValueError, as do a non-square m and a tol that
-    is not a positive finite number.  Raises
-    InternalCheckError if the certificate fails, and
-    numpy.linalg.LinAlgError if LAPACK does not converge.
+    check_tolerance refuses.  Raises InternalCheckError if the certificate
+    fails, and numpy.linalg.LinAlgError if LAPACK does not converge.
     """
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -174,14 +179,12 @@ def phi_products(s: DistinctSpectrum) -> np.ndarray:
         gaps[start] *= phis
         phis, e = np.frexp(np.multiply.reduce(gaps[start : start + step]))
         exps += e
-    # math.ldexp raises OverflowError on a phi_i past the float range,
-    # where np.ldexp would return inf for the text report to print; a
-    # mantissa in [1/2, 1) times 2^e is finite exactly when e <= 1024
-    try:
-        return np.array([math.ldexp(m, e) for m, e in zip(phis.tolist(), exps.tolist())])
-    except OverflowError:
-        i = int(np.argmax(exps > 1024))
+    # m * 2^e with m in [1/2, 1) is finite exactly when e <= 1024
+    past = exps > 1024
+    if past.any():
+        i = int(np.argmax(past))
         raise InternalCheckError(
             f"phi product phi_{i} is past the float range: its binary "
             f"exponent {int(exps[i])} exceeds 1024"
-        ) from None
+        )
+    return np.ldexp(phis, exps)

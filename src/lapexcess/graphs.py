@@ -98,10 +98,6 @@ class Graph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def sorted_edges(self) -> list:
-        """Edges as a lexicographically sorted list of (u, v), u < v."""
-        return sorted(self.edges)
-
     def degrees(self) -> np.ndarray:
         """Vertex degrees as an integer array of length n."""
         return self.adjacency_matrix.sum(axis=1)
@@ -201,7 +197,7 @@ def format_edge_list(g: Graph) -> str:
     """
     if g.edge_count == 0:
         return f"n {g.n}\n"
-    return "".join(f"{u} {v}\n" for u, v in g.sorted_edges())
+    return "".join(f"{u} {v}\n" for u, v in sorted(g.edges))
 
 
 # ---------------------------------------------------------------------------

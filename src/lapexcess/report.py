@@ -7,11 +7,11 @@ spectrum.  The document alone decides what a report says.  :func:`dumps`
 is the standard library's encoder, writing one line; Python prints each
 float in the shortest form that parses back to the same double, so the
 document round-trips losslessly.  Every value of a pipeline document is
-finite: with both tolerances positive and finite, each value is checked,
-or feeds a check, before a document is built.  A NaN or an infinity that
-still got in raises the encoder's own ValueError.  The text renderers
-read the same document, so the text of a report is a function of its
-JSON.  The text report's centerpiece is the recurrence table with
+finite: with both tolerances in eigen.check_tolerance's range, each value
+is checked, or feeds a check, before a document is built.  A NaN or an
+infinity that still got in raises the encoder's own ValueError.  The text
+renderers read the same document, so the text of a report is a function
+of its JSON.  The text report's centerpiece is the recurrence table with
 rows beta_i, alpha_i, gamma_i.
 """
 

@@ -30,6 +30,7 @@ from .eigen import (
     DEFAULT_CLUSTER_TOL,
     DistinctSpectrum,
     InternalCheckError,
+    check_tolerance,
     cluster_spectrum,
     eigenvalues_sym,
     phi_products,
@@ -287,11 +288,10 @@ def analyze(
     between the two routes, oracle counts that no distance matrix can
     give, or a decisive verdict the oracle contradicts raises
     InternalCheckError rather than returning a report that contradicts the
-    theorem.  A tol_eq or tol_eig that is not a positive finite number is
-    the caller's error, not the computation's, and raises ValueError.
+    theorem.  A tol_eq or tol_eig that ``eigen.check_tolerance`` refuses
+    is the caller's error, not the computation's, and raises ValueError.
     """
-    if not 0.0 < tol_eq < math.inf:
-        raise ValueError(f"equality tolerance must be a positive finite number, got {tol_eq!r}")
+    check_tolerance(tol_eq, "equality")
     raw, vectors = eigenvalues_sym(laplacian_matrix(g), tol_eig)
     spectrum = cluster_spectrum(raw, tol_eig)
     system = predistance_system(SpectralMeasure.from_spectrum(spectrum))

@@ -19,8 +19,8 @@ from lapexcess import (
     theorem,
 )
 
-# a tolerance must be a positive finite number: each of these is refused
-BAD_TOLERANCES = (0.0, -1e-8, math.inf, math.nan)
+# a tolerance must lie in [2**-52, 1): each of these is refused
+BAD_TOLERANCES = (0.0, -1e-8, math.inf, math.nan, 2.0**-53, 1e-320, 1.0, 1e308)
 
 
 def random_connected_graph(rng, n: int, extra_edges: int = 0) -> Graph:
@@ -65,7 +65,7 @@ def permute_graph(g: Graph, perm) -> Graph:
 def to_networkx(g: Graph) -> nx.Graph:
     h = nx.Graph()
     h.add_nodes_from(range(g.n))
-    h.add_edges_from(g.sorted_edges())
+    h.add_edges_from(g.edges)
     return h
 
 

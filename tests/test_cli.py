@@ -88,6 +88,28 @@ def test_non_number_tolerance_exits_64(capsys):
     )
 
 
+@pytest.mark.parametrize("flag, label, value", [
+    ("--tol-eig", "eigenvalue", "1e-320"),
+    ("--tol-eig", "eigenvalue", "1e308"),
+    ("--tol-eig", "eigenvalue", "1"),
+    ("--tol-eq", "equality", "1e-300"),
+    ("--tol-eq", "equality", "1"),
+])
+def test_tolerance_outside_its_range_exits_64(capsys, flag, label, value):
+    # positive and finite, but below 2**-52 no comparison can meet it, and
+    # from 1 up every eigenvalue merges or every gap counts as equal: the
+    # caller's error, refused before any work, not an internal error
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--gen", "petersen", flag, value])
+    assert exc.value.code == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(
+        f"lapexcess analyze: error: argument {flag}: {label} tolerance must "
+        f"lie in [2**-52, 1), got {float(value)!r}\n"
+    )
+
+
 @pytest.mark.parametrize("spec, message", [
     ("complete:0", "complete needs k >= 1, got 0"),
     ("complete_bipartite:0,3", "complete_bipartite needs both parts >= 1, got 0, 3"),

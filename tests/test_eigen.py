@@ -203,9 +203,10 @@ def test_structured_matrices_match_eigvalsh(m, check):
 
 
 def test_failed_certificate_raises():
-    # no basis meets a bound below the rounding of the product m V
+    # no basis meets a bound below the rounding of the product m V, even
+    # at the smallest tolerance check_tolerance accepts
     with pytest.raises(InternalCheckError, match="backward error max"):
-        eigenvalues_sym(_indefinite(), tol=1e-20)
+        eigenvalues_sym(_indefinite(), tol=2.0**-52)
 
 
 def test_diagonal_and_trivial_cases():
@@ -281,13 +282,14 @@ def test_cluster_rejections():
         cluster_spectrum(np.array([1.0, 0.0]))  # unsorted
     with pytest.raises(ValueError):
         cluster_spectrum(np.array([]))
-    # a tolerance that is not a positive finite number is the caller's
-    # error, refused by both functions that read one
+    # a tolerance outside [2**-52, 1) is the caller's error, refused by
+    # both functions that read one
     lap = laplacian_matrix(cycle_graph(4))
+    message = r"^eigenvalue tolerance must lie in \[2\*\*-52, 1\), got "
     for bad in BAD_TOLERANCES:
-        with pytest.raises(ValueError, match=r"^eigenvalue tolerance must be a positive finite"):
+        with pytest.raises(ValueError, match=message):
             cluster_spectrum(np.array([0.0, 1.0]), tol=bad)
-        with pytest.raises(ValueError, match=r"^eigenvalue tolerance must be a positive finite"):
+        with pytest.raises(ValueError, match=message):
             eigenvalues_sym(lap, bad)
 
 

@@ -174,7 +174,7 @@ def test_degrees_and_neighbors():
 def test_parse_basic():
     g = parse_edge_list("0 1\n1 2\n")
     assert g.n == 3
-    assert g.sorted_edges() == [(0, 1), (1, 2)]
+    assert g.edges == {(0, 1), (1, 2)}
 
 
 def test_parse_header_comments_blanks_duplicates():

@@ -346,7 +346,7 @@ def test_bad_tolerances_are_refused(name, label, bad):
     # passed on to a report that dumps would then refuse
     with pytest.raises(ValueError) as info:
         analyze(petersen_graph(), **{name: bad})
-    assert str(info.value) == f"{label} tolerance must be a positive finite number, got {bad!r}"
+    assert str(info.value) == f"{label} tolerance must lie in [2**-52, 1), got {bad!r}"
 
 
 def test_corpus_structural_invariants(analyzed_corpus):

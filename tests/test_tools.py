@@ -37,9 +37,9 @@ def test_digest_pins_the_bytes(capsys):
         "complete_bipartite:3:4 d5ea041e991de18db56a23c6334f7d3676a215bd065ddb8adc3035be624818e9  (4 calls)",
         "star:5       d32c391805a50a5167028a11937de3e74725aaea420db72ca448e4bb1f6abded  (4 calls)",
         "errors       fa916829f5054d77784058eb0823e129bd32b015e6ad8cc33236db0958dc12ab  (6 calls)",
-        "inputs       7ca5f1c9f6636d60f5e40080957dbeb9074c6b8f12b62c057bb0f2581e124152  (17 calls)",
+        "inputs       a9e306b25e00c289e0a2ff769d606be6777313e01cc37a328268a472797b9e5f  (22 calls)",
         "gen          f3711451f7716ebc8ce81915739a14442400df8ad68a920aaa92ae586cb104fe  (9 calls)",
-        "all          764f9eac2018983587a4e7022de5d8a5d2d24098bdd84e3bb51bb1c8e8e8af58",
+        "all          029779a13f2a479a254a4e9fb9fbe8556f8ef50edf081eef967c8bd9af99355e",
     ]
 
 

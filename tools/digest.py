@@ -26,7 +26,9 @@ Specs:
   malformed texts of ``tests/test_graphs.py::test_parse_rejects_malformed``
   on stdin; ``--gen`` with an unknown family, a wrong arity, a non-integer
   parameter and ``path:0``; a missing file; a file together with
-  ``--gen``; and no input at all;
+  ``--gen``; no input at all; and on ``--gen petersen``, ``--tol-eig``
+  1e-320, 1e308 and 1 and ``--tol-eq`` 1e-300 and 1, each outside the
+  tolerance range [2**-52, 1);
 * ``gen``: the edge list ``gen`` prints for each family, the bytes that
   ``gen SPEC | analyze -`` reads, and ``analyze -`` on an edge list with a
   comment line, a blank line and a trailing comment.
@@ -80,6 +82,11 @@ INPUTS = tuple((["analyze", "-"], text) for text in MALFORMED) + tuple(
         ["analyze", MISSING],
         ["analyze", MISSING, "--gen", "path:4"],
         ["analyze"],
+        ["analyze", "--gen", "petersen", "--tol-eig", "1e-320"],
+        ["analyze", "--gen", "petersen", "--tol-eig", "1e308"],
+        ["analyze", "--gen", "petersen", "--tol-eig", "1"],
+        ["analyze", "--gen", "petersen", "--tol-eq", "1e-300"],
+        ["analyze", "--gen", "petersen", "--tol-eq", "1"],
     )
 )
 

@@ -50,6 +50,7 @@ from .report import (
     spectrum_document,
 )
 from .theorem import (
+    CROSS_CHECK_TOL,
     DEFAULT_EQUALITY_TOL,
     Verdict,
     analyze,
@@ -146,7 +147,9 @@ def _parser() -> argparse.ArgumentParser:
         metavar="REL",
         help=(
             "excess equality tolerance, relative to the spectral excess, "
-            "in [2**-52, 1) (default %(default)g)"
+            "in [2**-52, 1) (default %(default)g); it sets the verdict band "
+            "only: the route cross-check and the excess guard keep a fixed "
+            f"bound of {CROSS_CHECK_TOL:g}"
         ),
     )
     p_analyze.set_defaults(func=_cmd_analyze)

@@ -15,7 +15,8 @@ Because equality of two floats is the hinge, the verdict is three-way:
 impossible mathematically and is reported as an internal error, as is any
 disagreement with the combinatorial oracle (the intersection numbers read
 off the distance matrix), which runs on every graph and double-checks
-every decisive verdict.
+every decisive verdict.  ``tol_eq`` sets the band only; the route check and
+the excess guard read a fixed bound, ``CROSS_CHECK_TOL``.
 """
 
 from __future__ import annotations
@@ -46,6 +47,10 @@ from .orthopoly import (
 )
 
 DEFAULT_EQUALITY_TOL = 1e-6
+# relative bound of the route cross-check and of the k̄_d <= r_d(0) guard,
+# fixed rather than read from tol_eq; the largest route gap measured is
+# 2.0e-12, on path:900
+CROSS_CHECK_TOL = 1e-6
 
 
 class Verdict(enum.Enum):
@@ -283,15 +288,21 @@ def analyze(
     distance-regular, so there the d + 1 n x n products would only restate
     the theorem.  The Hoffman residual runs on every verdict.
 
+    tol_eq sets the verdict band only.  The route cross-check and the
+    guard against a relative gap below -10 * CROSS_CHECK_TOL read that
+    fixed bound, 1e-6, five decades above the largest route gap measured.
+
     Every cross-check fails closed: a failed eigendecomposition
     certificate, a non-finite spectral quantity or residual, a disagreement
     between the two routes, oracle counts that no distance matrix can
     give, or a decisive verdict the oracle contradicts raises
     InternalCheckError rather than returning a report that contradicts the
     theorem.  A tol_eq or tol_eig that ``eigen.check_tolerance`` refuses
-    is the caller's error, not the computation's, and raises ValueError.
+    is the caller's error, not the computation's, and raises ValueError
+    before any work.
     """
     check_tolerance(tol_eq, "equality")
+    check_tolerance(tol_eig, "eigenvalue")
     raw, vectors = eigenvalues_sym(laplacian_matrix(g), tol_eig)
     spectrum = cluster_spectrum(raw, tol_eig)
     system = predistance_system(SpectralMeasure.from_spectrum(spectrum))
@@ -304,7 +315,7 @@ def analyze(
     phis = phi_products(spectrum)
     closed = spectral_excess_closed_form(spectrum, phis)
     # written so that a NaN on either side trips it
-    if not abs(closed - r_d0) <= tol_eq * max(1.0, abs(r_d0)):
+    if not abs(closed - r_d0) <= CROSS_CHECK_TOL * max(1.0, abs(r_d0)):
         raise InternalCheckError(
             f"spectral excess disagrees between routes: polynomial gives "
             f"{r_d0!r}, closed form gives {closed!r}"
@@ -317,7 +328,7 @@ def analyze(
         raise InternalCheckError(
             f"relative gap is not finite: ({r_d0!r} - {kbar!r}) / {r_d0!r} = {rel!r}"
         )
-    if rel < -10.0 * tol_eq:
+    if rel < -10.0 * CROSS_CHECK_TOL:
         raise InternalCheckError(
             f"average excess {kbar!r} exceeds spectral excess {r_d0!r} by "
             "more than tolerance; this bound cannot fail, so the spectrum "

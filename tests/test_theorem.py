@@ -53,6 +53,7 @@ from lapexcess import (
 )
 from lapexcess import format_edge_list, graphs, theorem
 from lapexcess.cli import main
+from lapexcess.theorem import CROSS_CHECK_TOL, DEFAULT_EQUALITY_TOL
 
 
 def prism_graph() -> Graph:
@@ -340,10 +341,16 @@ def test_sloppy_tolerance_trips_oracle_audit():
 @pytest.mark.parametrize(
     "name, label", [("tol_eig", "eigenvalue"), ("tol_eq", "equality")], ids=["tol_eig", "tol_eq"]
 )
-def test_bad_tolerances_are_refused(name, label, bad):
-    # the caller's error, refused where the tolerance enters: not blamed on
-    # the computation as InternalCheckError (a RuntimeError), and not
-    # passed on to a report that dumps would then refuse
+def test_bad_tolerances_are_refused(monkeypatch, name, label, bad):
+    # the caller's error, refused where the tolerance enters, before any
+    # work: not blamed on the computation as InternalCheckError (a
+    # RuntimeError), and not passed on to a report that dumps would then
+    # refuse
+    def no_work(*args):
+        raise AssertionError("the tolerance was not checked first")
+
+    monkeypatch.setattr(theorem, "laplacian_matrix", no_work)
+    monkeypatch.setattr(theorem, "eigenvalues_sym", no_work)
     with pytest.raises(ValueError) as info:
         analyze(petersen_graph(), **{name: bad})
     assert str(info.value) == f"{label} tolerance must lie in [2**-52, 1), got {bad!r}"
@@ -438,8 +445,27 @@ def test_three_eigenvalue_gamma_matches_system():
 
 def test_nan_closed_form_raises(monkeypatch):
     monkeypatch.setattr(theorem, "spectral_excess_closed_form", lambda spectrum, phis: math.nan)
-    with pytest.raises(InternalCheckError, match="disagrees between routes"):
-        analyze(petersen_graph())
+    for tol_eq in (DEFAULT_EQUALITY_TOL, 0.5):
+        with pytest.raises(InternalCheckError, match="disagrees between routes"):
+            analyze(petersen_graph(), tol_eq=tol_eq)
+
+
+@pytest.mark.parametrize("tol_eq", [2.0**-52, DEFAULT_EQUALITY_TOL, 0.5])
+def test_route_check_reads_its_own_bound(monkeypatch, tol_eq):
+    # the closed form moved by a tenth of CROSS_CHECK_TOL passes the route
+    # check and by ten times it fails, whatever the verdict band
+    closed_form = theorem.spectral_excess_closed_form
+    for factor, fails in ((0.1, False), (10.0, True)):
+        monkeypatch.setattr(
+            theorem,
+            "spectral_excess_closed_form",
+            lambda spectrum, phis: closed_form(spectrum, phis) * (1 + factor * CROSS_CHECK_TOL),
+        )
+        if fails:
+            with pytest.raises(InternalCheckError, match="disagrees between routes"):
+                analyze(petersen_graph(), tol_eq=tol_eq)
+        else:
+            assert analyze(petersen_graph(), tol_eq=tol_eq).verdict is Verdict.DISTANCE_REGULAR
 
 
 def test_nan_spectral_excess_raises(monkeypatch):

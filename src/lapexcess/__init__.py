@@ -13,7 +13,7 @@ verdict, and the ``lapexcess`` command line tool.
 __version__ = "0.1.0"
 
 from .eigen import (
-    DEFAULT_CLUSTER_TOL,
+    CLUSTER_TOL,
     DistinctSpectrum,
     InternalCheckError,
     cluster_spectrum,
@@ -62,7 +62,7 @@ from .report import build_document, dumps, render_text
 __all__ = [
     "__version__",
     "Analysis",
-    "DEFAULT_CLUSTER_TOL",
+    "CLUSTER_TOL",
     "DEFAULT_EQUALITY_TOL",
     "DisconnectedGraphError",
     "DistanceData",

@@ -10,8 +10,9 @@ verdict on success:
     0   distance_regular
     1   not_distance_regular
     2   inconclusive
-    64  unusable input: a bad flag or tolerance outside [2**-52, 1), a bad
-        edge list or family, no input source or both an edge list and --gen
+    64  unusable input: a bad or abbreviated flag, a --tol-eq outside
+        [2**-52, 1), a bad edge list or family, no input source or both an
+        edge list and --gen
     65  the graph is not connected
     70  internal failure: an InternalCheckError (a failed eigendecomposition
         certificate, a misclustered spectrum, a violated invariant), or any
@@ -26,9 +27,7 @@ import functools
 import sys
 
 from .eigen import (
-    DEFAULT_CLUSTER_TOL,
     InternalCheckError,
-    check_tolerance,
     cluster_spectrum,
     eigenvalues_sym,
     phi_products,
@@ -54,6 +53,7 @@ from .theorem import (
     DEFAULT_EQUALITY_TOL,
     Verdict,
     analyze,
+    check_tolerance,
 )
 
 EXIT_USAGE = 64
@@ -77,13 +77,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _tolerance(name: str, text: str) -> float:
+def _tolerance(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
     try:
-        return check_tolerance(value, name)
+        return check_tolerance(value)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -93,8 +93,11 @@ def _parser() -> argparse.ArgumentParser:
     # Built on the first main() call, not at import, and then reused:
     # parse_args keeps no state between calls, and building the tree is a
     # large share of the verdict time on a small graph.
+    # allow_abbrev=False everywhere: a prefix such as --tol must not be
+    # read as whichever option it happens to match
     parser = _Parser(
         prog="lapexcess",
+        allow_abbrev=False,
         description=(
             "Decide whether a connected graph is distance-regular by "
             "comparing its average excess with the spectral excess of its "
@@ -124,25 +127,16 @@ def _parser() -> argparse.ArgumentParser:
             action="store_true",
             help="emit the JSON document instead of text",
         )
-        p.add_argument(
-            "--tol-eig",
-            type=functools.partial(_tolerance, "eigenvalue"),
-            default=DEFAULT_CLUSTER_TOL,
-            metavar="REL",
-            help=(
-                "eigenvalue clustering tolerance, relative to the spectral "
-                "radius, in [2**-52, 1) (default %(default)g)"
-            ),
-        )
 
     p_analyze = sub.add_parser(
         "analyze",
         help="full distance-regularity report; exit code encodes the verdict",
+        allow_abbrev=False,
     )
     add_input_options(p_analyze)
     p_analyze.add_argument(
         "--tol-eq",
-        type=functools.partial(_tolerance, "equality"),
+        type=_tolerance,
         default=DEFAULT_EQUALITY_TOL,
         metavar="REL",
         help=(
@@ -157,11 +151,14 @@ def _parser() -> argparse.ArgumentParser:
     p_spectrum = sub.add_parser(
         "spectrum",
         help="raw and clustered Laplacian spectrum only",
+        allow_abbrev=False,
     )
     add_input_options(p_spectrum)
     p_spectrum.set_defaults(func=_cmd_spectrum)
 
-    p_gen = sub.add_parser("gen", help="print a graph family as an edge list")
+    p_gen = sub.add_parser(
+        "gen", help="print a graph family as an edge list", allow_abbrev=False
+    )
     p_gen.add_argument(
         "family",
         metavar="FAMILY[:P1:P2]",
@@ -218,7 +215,7 @@ def _load_graph(args) -> Graph:
 
 def _cmd_analyze(args) -> int:
     g = _load_graph(args)
-    analysis = analyze(g, tol_eig=args.tol_eig, tol_eq=args.tol_eq)
+    analysis = analyze(g, tol_eq=args.tol_eq)
     doc = build_document(analysis)
     sys.stdout.write(dumps(doc) + "\n" if args.json else render_text(doc))
     return _VERDICT_EXIT[analysis.verdict]
@@ -229,8 +226,8 @@ def _cmd_spectrum(args) -> int:
     # failure in a later stage of analyze does not stop it; a failure in
     # one of these three still exits 70.
     g = _load_graph(args)
-    raw, _ = eigenvalues_sym(laplacian_matrix(g), args.tol_eig)
-    spectrum = cluster_spectrum(raw, args.tol_eig)
+    raw, _ = eigenvalues_sym(laplacian_matrix(g))
+    spectrum = cluster_spectrum(raw)
     doc = spectrum_document(g, raw, spectrum, phi_products(spectrum))
     sys.stdout.write(dumps(doc) + "\n" if args.json else render_spectrum_text(doc))
     return 0

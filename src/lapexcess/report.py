@@ -7,7 +7,7 @@ spectrum.  The document alone decides what a report says.  :func:`dumps`
 is the standard library's encoder, writing one line; Python prints each
 float in the shortest form that parses back to the same double, so the
 document round-trips losslessly.  Every value of a pipeline document is
-finite: with both tolerances in eigen.check_tolerance's range, each value
+finite: with tol_eq in theorem.check_tolerance's range, each value
 is checked, or feeds a check, before a document is built.  A NaN or an
 infinity that still got in raises the encoder's own ValueError.  The text
 renderers read the same document, so the text of a report is a function
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 
+from . import eigen
 from .theorem import Analysis, IntersectionArray, per_vertex_excess
 
 SCHEMA_VERSION = 3
@@ -88,7 +89,7 @@ def build_document(analysis: Analysis) -> dict:
         "schema": SCHEMA_VERSION,
         "tool": {"name": "lapexcess", "version": __version__},
         "tolerances": {
-            "eigenvalue_cluster": float(analysis.tol_eig),
+            "eigenvalue_cluster": eigen.CLUSTER_TOL,
             "equality": float(analysis.tol_eq),
         },
         "graph": {

@@ -28,10 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigen import (
-    DEFAULT_CLUSTER_TOL,
     DistinctSpectrum,
     InternalCheckError,
-    check_tolerance,
     cluster_spectrum,
     eigenvalues_sym,
     phi_products,
@@ -51,6 +49,15 @@ DEFAULT_EQUALITY_TOL = 1e-6
 # fixed rather than read from tol_eq; the largest route gap measured is
 # 2.0e-12, on path:900
 CROSS_CHECK_TOL = 1e-6
+
+
+def check_tolerance(tol_eq: float) -> float:
+    """tol_eq if 2**-52 <= tol_eq < 1, else ValueError.  Below the unit
+    roundoff no float comparison can meet it; from 1 up the band holds
+    every relative gap."""
+    if not 2.0**-52 <= tol_eq < 1.0:
+        raise ValueError(f"equality tolerance must lie in [2**-52, 1), got {tol_eq!r}")
+    return tol_eq
 
 
 class Verdict(enum.Enum):
@@ -218,14 +225,13 @@ def average_excess(dd: DistanceData, d: int) -> float:
     d is the count of distinct Laplacian eigenvalues minus one, which is
     always at least the diameter; when it is strictly larger no vertex has
     anything at distance d and the average is 0.  A d below the diameter
-    can only come from eigenvalues merged by too loose a clustering
-    tolerance, so that raises InternalCheckError instead of returning a
-    wrong number.
+    can only come from distinct eigenvalues merged by the clustering, so
+    that raises InternalCheckError instead of returning a wrong number.
     """
     if d < dd.diameter:
         raise InternalCheckError(
             f"diameter {dd.diameter} exceeds d = {d}: distinct eigenvalues "
-            "were merged during clustering; tighten the eigenvalue tolerance"
+            "were merged during clustering"
         )
     return float(per_vertex_excess(dd, d).mean())
 
@@ -262,16 +268,10 @@ class Analysis:
     verdict: Verdict
     identity_residuals: np.ndarray | None
     oracle: IntersectionArray | OracleRefusal
-    tol_eig: float
     tol_eq: float
 
 
-def analyze(
-    g: Graph,
-    *,
-    tol_eig: float = DEFAULT_CLUSTER_TOL,
-    tol_eq: float = DEFAULT_EQUALITY_TOL,
-) -> Analysis:
+def analyze(g: Graph, *, tol_eq: float = DEFAULT_EQUALITY_TOL) -> Analysis:
     """Run the full pipeline on a connected graph.
 
     Laplacian, its certified eigendecomposition, clustering, predistance
@@ -297,14 +297,14 @@ def analyze(
     between the two routes, oracle counts that no distance matrix can
     give, or a decisive verdict the oracle contradicts raises
     InternalCheckError rather than returning a report that contradicts the
-    theorem.  A tol_eq or tol_eig that ``eigen.check_tolerance`` refuses
-    is the caller's error, not the computation's, and raises ValueError
-    before any work.
+    theorem.  A tol_eq that ``check_tolerance`` refuses is the caller's
+    error, not the computation's, and raises ValueError before any work.
+    The certificate and the clustering read the fixed
+    ``eigen.CLUSTER_TOL``.
     """
-    check_tolerance(tol_eq, "equality")
-    check_tolerance(tol_eig, "eigenvalue")
-    raw, vectors = eigenvalues_sym(laplacian_matrix(g), tol_eig)
-    spectrum = cluster_spectrum(raw, tol_eig)
+    check_tolerance(tol_eq)
+    raw, vectors = eigenvalues_sym(laplacian_matrix(g))
+    spectrum = cluster_spectrum(raw)
     system = predistance_system(SpectralMeasure.from_spectrum(spectrum))
     d = spectrum.d
 
@@ -392,6 +392,5 @@ def analyze(
         verdict=verdict,
         identity_residuals=residuals,
         oracle=oracle,
-        tol_eig=tol_eig,
         tol_eq=tol_eq,
     )

@@ -19,7 +19,7 @@ from lapexcess import (
     theorem,
 )
 
-# a tolerance must lie in [2**-52, 1): each of these is refused
+# tol_eq must lie in [2**-52, 1): each of these is refused
 BAD_TOLERANCES = (0.0, -1e-8, math.inf, math.nan, 2.0**-53, 1e-320, 1.0, 1e308)
 
 
@@ -125,7 +125,7 @@ def reverse_measure(monkeypatch) -> None:
 
 def perturb_eigenvectors(monkeypatch) -> None:
     """Make numpy.linalg.eigh return eigenvectors moved by 1e-6, so that
-    L V = V diag(lambda) no longer holds to the eigenvalue tolerance."""
+    L V = V diag(lambda) no longer holds to the certificate's threshold."""
     real = np.linalg.eigh
 
     def perturbed(m):
@@ -139,7 +139,7 @@ def shift_eigenvalues(monkeypatch) -> None:
     """Make numpy.linalg.eigh return petersen's top cluster, the four
     eigenvalues 5, moved up by 1e-6, with the eigenvectors unchanged.  They
     still cluster, and the verdict would still read distance_regular, but
-    L V = V diag(lambda) no longer holds to the eigenvalue tolerance."""
+    L V = V diag(lambda) no longer holds to the certificate's threshold."""
     real = np.linalg.eigh
 
     def shifted(m):

@@ -25,7 +25,7 @@ from helpers import (
     shift_eigenvalues,
 )
 
-from lapexcess import InternalCheckError, theorem
+from lapexcess import InternalCheckError, eigen, theorem
 from lapexcess.cli import main
 
 
@@ -95,7 +95,7 @@ def test_argparse_failures_exit_64(capsys):
         main(["bogus-command"])
     assert exc.value.code == 64
     with pytest.raises(SystemExit) as exc:
-        main(["analyze", "--gen", "path:4", "--tol-eig", "0"])
+        main(["analyze", "--gen", "path:4", "--tol-eq", "0"])
     assert exc.value.code == 64
     # the oracle cannot be switched off
     with pytest.raises(SystemExit) as exc:
@@ -106,24 +106,40 @@ def test_argparse_failures_exit_64(capsys):
 
 def test_non_number_tolerance_exits_64(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["analyze", "--gen", "path:4", "--tol-eig", "abc"])
+        main(["analyze", "--gen", "path:4", "--tol-eq", "abc"])
     assert exc.value.code == 64
     assert capsys.readouterr().err.endswith(
-        "lapexcess analyze: error: argument --tol-eig: 'abc' is not a number\n"
+        "lapexcess analyze: error: argument --tol-eq: 'abc' is not a number\n"
     )
 
 
+@pytest.mark.parametrize("command", ["analyze", "spectrum"])
+@pytest.mark.parametrize("extra", [
+    ["--tol", "0.5"],
+    ["--js"],
+    ["--tol-eig", "1e-8"],
+], ids=["tol", "js", "tol-eig"])
+def test_abbreviated_or_unknown_option_exits_64(capsys, command, extra):
+    # no prefix stands for a whole option, and there is no eigenvalue
+    # tolerance to set
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--gen", "path:4", *extra])
+    assert exc.value.code == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {extra[0]}" in captured.err
+
+
 @pytest.mark.parametrize("flag, label, value", [
-    ("--tol-eig", "eigenvalue", "1e-320"),
-    ("--tol-eig", "eigenvalue", "1e308"),
-    ("--tol-eig", "eigenvalue", "1"),
+    ("--tol-eq", "equality", "1e-320"),
+    ("--tol-eq", "equality", "1e308"),
     ("--tol-eq", "equality", "1e-300"),
     ("--tol-eq", "equality", "1"),
 ])
 def test_tolerance_outside_its_range_exits_64(capsys, flag, label, value):
     # positive and finite, but below 2**-52 no comparison can meet it, and
-    # from 1 up every eigenvalue merges or every gap counts as equal: the
-    # caller's error, refused before any work, not an internal error
+    # from 1 up every gap counts as equal: the caller's error, refused
+    # before any work, not an internal error
     with pytest.raises(SystemExit) as exc:
         main(["analyze", "--gen", "petersen", flag, value])
     assert exc.value.code == 64
@@ -184,16 +200,19 @@ def test_disconnected_exits_65(tmp_path, capsys):
         assert "not connected" in captured.err
 
 
-def test_merged_zero_eigenvalue_exits_70_and_names_the_tolerance(capsys):
-    # path:5 is connected; a loose tolerance merges its eigenvalues 0,
-    # 0.38, 1.38, 2.62, 3.62 (gaps up to 1.24) into one cluster
-    assert main(["analyze", "--gen", "path:5", "--tol-eig", "0.5"]) == 70
-    err = capsys.readouterr().err
-    assert "not connected" not in err
-    assert "multiplicity 5" in err
-    assert "tolerance 1.80902" in err
-    assert "1.23607 apart" in err
-    assert "--tol-eig" in err
+def test_merged_zero_eigenvalue_exits_70_and_names_the_tolerance(monkeypatch, capsys):
+    # path:5 is connected; a threshold injected at 0.5 merges its
+    # eigenvalues 0, 0.38, 1.38, 2.62, 3.62 (gaps up to 1.24) into one
+    # cluster
+    monkeypatch.setattr(eigen, "CLUSTER_TOL", 0.5)
+    for command in ("analyze", "spectrum"):
+        assert main([command, "--gen", "path:5"]) == 70
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not connected" not in captured.err
+        assert "multiplicity 5" in captured.err
+        assert "tolerance 1.80902" in captured.err
+        assert "1.23607 apart" in captured.err
 
 
 def test_malformed_edge_list_exits_64(monkeypatch, capsys):

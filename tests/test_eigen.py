@@ -9,14 +9,13 @@ import re
 import numpy as np
 import pytest
 from helpers import (
-    BAD_TOLERANCES,
     permute_graph,
+    perturb_eigenvectors,
     random_connected_graph,
     reference_phi_products,
 )
 
 from lapexcess import (
-    DEFAULT_CLUSTER_TOL,
     DistinctSpectrum,
     InternalCheckError,
     cluster_spectrum,
@@ -116,7 +115,7 @@ def assert_power_traces(m, got):
 def assert_certified_basis(m, values, vectors):
     """The backward error max|m V - V diag(values)| is within the bound the
     certificate allows, and V is orthonormal to rounding level."""
-    assert np.abs(m @ vectors - vectors * values).max() <= absolute_tol(values, DEFAULT_CLUSTER_TOL)
+    assert np.abs(m @ vectors - vectors * values).max() <= absolute_tol(values)
     assert np.abs(vectors.T @ vectors - np.eye(len(m))).max() <= 10 * len(m) * np.finfo(float).eps
 
 
@@ -202,11 +201,12 @@ def test_structured_matrices_match_eigvalsh(m, check):
     assert_certified_basis(m, got, vectors)
 
 
-def test_failed_certificate_raises():
-    # no basis meets a bound below the rounding of the product m V, even
-    # at the smallest tolerance check_tolerance accepts
+def test_failed_certificate_raises(monkeypatch):
+    # eigenvectors moved by 1e-6 leave a backward error far above the
+    # threshold, 1e-8 times the spectral radius
+    perturb_eigenvectors(monkeypatch)
     with pytest.raises(InternalCheckError, match="backward error max"):
-        eigenvalues_sym(_indefinite(), tol=2.0**-52)
+        eigenvalues_sym(_indefinite())
 
 
 def test_diagonal_and_trivial_cases():
@@ -256,7 +256,7 @@ def test_cluster_exact_multiplicities():
 
 def test_cluster_merges_jittered_values():
     raw = np.array([1e-13, 1.0 - 3e-9, 1.0 + 3e-9, 2.5])
-    s = cluster_spectrum(raw, tol=1e-8)
+    s = cluster_spectrum(raw)
     assert list(s.mults) == [1, 2, 1]
     assert abs(s.thetas[1] - 1.0) <= 1e-8
 
@@ -265,7 +265,7 @@ def test_cluster_is_gap_chaining():
     # each consecutive gap is below tolerance, so the chain merges even
     # though the endpoints are farther apart than the tolerance
     raw = np.array([0.0, 1.0, 1.0 + 0.9e-8, 1.0 + 1.8e-8])
-    s = cluster_spectrum(raw, tol=1e-8)
+    s = cluster_spectrum(raw)
     assert list(s.mults) == [1, 3]
 
 
@@ -274,27 +274,25 @@ def test_cluster_rejections():
         InternalCheckError, match="smallest eigenvalue 0.5 is not zero within tolerance 2e-08"
     ):
         cluster_spectrum(np.array([0.5, 1.0, 2.0]))  # no zero eigenvalue
-    with pytest.raises(InternalCheckError, match="smallest eigenvalue cluster has multiplicity 2"):
-        cluster_spectrum(np.array([0.0, 1e-12, 1.0]))  # zero repeated
+    # zero repeated: the message names the multiplicity, the absolute
+    # threshold and the largest gap merged
+    message = (
+        "the smallest eigenvalue cluster has multiplicity 3: the clustering "
+        "tolerance 3e-08 merged eigenvalues up to 7e-09 apart, but a "
+        "connected graph has a simple zero eigenvalue"
+    )
+    with pytest.raises(InternalCheckError, match=f"^{re.escape(message)}$"):
+        cluster_spectrum(np.array([0.0, 5e-9, 1.2e-8, 3.0]))
     with pytest.raises(InternalCheckError, match="smallest eigenvalue -0.5 is not zero"):
         cluster_spectrum(np.array([-0.5, 1.0, 2.0]))
     with pytest.raises(ValueError):
         cluster_spectrum(np.array([1.0, 0.0]))  # unsorted
     with pytest.raises(ValueError):
         cluster_spectrum(np.array([]))
-    # a tolerance outside [2**-52, 1) is the caller's error, refused by
-    # both functions that read one
-    lap = laplacian_matrix(cycle_graph(4))
-    message = r"^eigenvalue tolerance must lie in \[2\*\*-52, 1\), got "
-    for bad in BAD_TOLERANCES:
-        with pytest.raises(ValueError, match=message):
-            cluster_spectrum(np.array([0.0, 1.0]), tol=bad)
-        with pytest.raises(ValueError, match=message):
-            eigenvalues_sym(lap, bad)
 
 
 def test_min_gap():
-    s = cluster_spectrum(np.array([0.0, 0.4, 2.0]), tol=1e-10)
+    s = cluster_spectrum(np.array([0.0, 0.4, 2.0]))
     assert math.isclose(s.min_gap, 0.4)
     assert DistinctSpectrum(np.array([0.0]), np.array([1])).min_gap == math.inf
 

@@ -338,9 +338,7 @@ def test_sloppy_tolerance_trips_oracle_audit():
 
 
 @pytest.mark.parametrize("bad", BAD_TOLERANCES)
-@pytest.mark.parametrize(
-    "name, label", [("tol_eig", "eigenvalue"), ("tol_eq", "equality")], ids=["tol_eig", "tol_eq"]
-)
+@pytest.mark.parametrize("name, label", [("tol_eq", "equality")], ids=["tol_eq"])
 def test_bad_tolerances_are_refused(monkeypatch, name, label, bad):
     # the caller's error, refused where the tolerance enters, before any
     # work: not blamed on the computation as InternalCheckError (a
@@ -370,7 +368,7 @@ def test_corpus_structural_invariants(analyzed_corpus):
         ), name
         if a.verdict is Verdict.NOT_DISTANCE_REGULAR:
             assert a.identity_residuals is None, name
-            raw, vectors = eigenvalues_sym(laplacian_matrix(g), a.tol_eig)
+            raw, vectors = eigenvalues_sym(laplacian_matrix(g))
             basis = (predistance_values(a.system, raw), vectors)
             r_d = eval_matrix(np.eye(1, d + 1, d)[0], basis)
             assert np.max(np.abs(r_d - (a.distances.dist == d))) > 1e-6, name

@@ -48,7 +48,7 @@ from .orthopoly import (
     spectral_excess_closed_form,
 )
 from .theorem import (
-    DEFAULT_EQUALITY_TOL,
+    EQUALITY_TOL,
     Analysis,
     IntersectionArray,
     OracleRefusal,
@@ -63,10 +63,10 @@ __all__ = [
     "__version__",
     "Analysis",
     "CLUSTER_TOL",
-    "DEFAULT_EQUALITY_TOL",
     "DisconnectedGraphError",
     "DistanceData",
     "DistinctSpectrum",
+    "EQUALITY_TOL",
     "FAMILIES",
     "Graph",
     "GraphInputError",

@@ -10,9 +10,8 @@ verdict on success:
     0   distance_regular
     1   not_distance_regular
     2   inconclusive
-    64  unusable input: a bad or abbreviated flag, a --tol-eq outside
-        [2**-52, 1), a bad edge list or family, no input source or both an
-        edge list and --gen
+    64  unusable input: an unknown or abbreviated flag, a bad edge list or
+        family, no input source or both an edge list and --gen
     65  the graph is not connected
     70  internal failure: an InternalCheckError (a failed eigendecomposition
         certificate, a misclustered spectrum, a violated invariant), or any
@@ -48,13 +47,7 @@ from .report import (
     render_text,
     spectrum_document,
 )
-from .theorem import (
-    CROSS_CHECK_TOL,
-    DEFAULT_EQUALITY_TOL,
-    Verdict,
-    analyze,
-    check_tolerance,
-)
+from .theorem import Verdict, analyze
 
 EXIT_USAGE = 64
 EXIT_DISCONNECTED = 65
@@ -69,23 +62,23 @@ _VERDICT_EXIT = {
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with status 2 on bad usage, but this CLI reserves 2
-    for the inconclusive verdict; usage errors exit 64 instead."""
+    for the inconclusive verdict; usage errors exit 64 instead.
+
+    argparse also hands a subcommand's unknown arguments up to the top
+    level, which refuses them with its own usage.  Each subcommand's parser
+    runs through parse_known_args, so refusing leftovers there names the
+    parser they were given to: ``lapexcess analyze: error: ...``."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
-
-def _tolerance(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
-    try:
-        return check_tolerance(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
 
 
 @functools.cache
@@ -93,7 +86,7 @@ def _parser() -> argparse.ArgumentParser:
     # Built on the first main() call, not at import, and then reused:
     # parse_args keeps no state between calls, and building the tree is a
     # large share of the verdict time on a small graph.
-    # allow_abbrev=False everywhere: a prefix such as --tol must not be
+    # allow_abbrev=False everywhere: a prefix such as --js must not be
     # read as whichever option it happens to match
     parser = _Parser(
         prog="lapexcess",
@@ -134,18 +127,6 @@ def _parser() -> argparse.ArgumentParser:
         allow_abbrev=False,
     )
     add_input_options(p_analyze)
-    p_analyze.add_argument(
-        "--tol-eq",
-        type=_tolerance,
-        default=DEFAULT_EQUALITY_TOL,
-        metavar="REL",
-        help=(
-            "excess equality tolerance, relative to the spectral excess, "
-            "in [2**-52, 1) (default %(default)g); it sets the verdict band "
-            "only: the route cross-check and the excess guard keep a fixed "
-            f"bound of {CROSS_CHECK_TOL:g}"
-        ),
-    )
     p_analyze.set_defaults(func=_cmd_analyze)
 
     p_spectrum = sub.add_parser(
@@ -215,7 +196,7 @@ def _load_graph(args) -> Graph:
 
 def _cmd_analyze(args) -> int:
     g = _load_graph(args)
-    analysis = analyze(g, tol_eq=args.tol_eq)
+    analysis = analyze(g)
     doc = build_document(analysis)
     sys.stdout.write(dumps(doc) + "\n" if args.json else render_text(doc))
     return _VERDICT_EXIT[analysis.verdict]

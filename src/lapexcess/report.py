@@ -7,19 +7,18 @@ spectrum.  The document alone decides what a report says.  :func:`dumps`
 is the standard library's encoder, writing one line; Python prints each
 float in the shortest form that parses back to the same double, so the
 document round-trips losslessly.  Every value of a pipeline document is
-finite: with tol_eq in theorem.check_tolerance's range, each value
-is checked, or feeds a check, before a document is built.  A NaN or an
-infinity that still got in raises the encoder's own ValueError.  The text
-renderers read the same document, so the text of a report is a function
-of its JSON.  The text report's centerpiece is the recurrence table with
-rows beta_i, alpha_i, gamma_i.
+finite: each value is checked, or feeds a check, before a document is
+built.  A NaN or an infinity that still got in raises the encoder's own
+ValueError.  The text renderers read the same document, so the text of a
+report is a function of its JSON.  The text report's centerpiece is the
+recurrence table with rows beta_i, alpha_i, gamma_i.
 """
 
 from __future__ import annotations
 
 import json
 
-from . import eigen
+from . import eigen, theorem
 from .theorem import Analysis, IntersectionArray, per_vertex_excess
 
 SCHEMA_VERSION = 3
@@ -90,7 +89,7 @@ def build_document(analysis: Analysis) -> dict:
         "tool": {"name": "lapexcess", "version": __version__},
         "tolerances": {
             "eigenvalue_cluster": eigen.CLUSTER_TOL,
-            "equality": float(analysis.tol_eq),
+            "equality": theorem.EQUALITY_TOL,
         },
         "graph": {
             "n": g.n,

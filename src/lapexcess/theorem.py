@@ -9,14 +9,14 @@ It and the residual checks read one spectrum, the certified eigenvalues and
 eigenbasis of ``eigen.eigenvalues_sym``.
 
 Because equality of two floats is the hinge, the verdict is three-way:
-``distance_regular`` when the relative gap is within ``tol_eq``,
+``distance_regular`` when the relative gap is within ``EQUALITY_TOL``,
 ``not_distance_regular`` when it is at least ten times that, and
 ``inconclusive`` in the gray zone between.  A significantly negative gap is
 impossible mathematically and is reported as an internal error, as is any
 disagreement with the combinatorial oracle (the intersection numbers read
 off the distance matrix), which runs on every graph and double-checks
-every decisive verdict.  ``tol_eq`` sets the band only; the route check and
-the excess guard read a fixed bound, ``CROSS_CHECK_TOL``.
+every decisive verdict.  ``EQUALITY_TOL`` sets the band only; the route
+check and the excess guard read their own fixed bound, ``CROSS_CHECK_TOL``.
 """
 
 from __future__ import annotations
@@ -44,20 +44,14 @@ from .orthopoly import (
     spectral_excess_closed_form,
 )
 
-DEFAULT_EQUALITY_TOL = 1e-6
-# relative bound of the route cross-check and of the k̄_d <= r_d(0) guard,
-# fixed rather than read from tol_eq; the largest route gap measured is
-# 2.0e-12, on path:900
+# the verdict band on the relative gap: at most EQUALITY_TOL is equality,
+# at least 10 * EQUALITY_TOL is not; distance-regular atlas graphs read at
+# most 8.9e-16 and cycle:1000 2.5e-12, and the smallest gap known on a
+# graph that is not distance-regular is 1.2e-3
+EQUALITY_TOL = 1e-6
+# relative bound of the route cross-check and of the k̄_d <= r_d(0) guard;
+# the largest route gap measured is 2.0e-12, on path:900
 CROSS_CHECK_TOL = 1e-6
-
-
-def check_tolerance(tol_eq: float) -> float:
-    """tol_eq if 2**-52 <= tol_eq < 1, else ValueError.  Below the unit
-    roundoff no float comparison can meet it; from 1 up the band holds
-    every relative gap."""
-    if not 2.0**-52 <= tol_eq < 1.0:
-        raise ValueError(f"equality tolerance must lie in [2**-52, 1), got {tol_eq!r}")
-    return tol_eq
 
 
 class Verdict(enum.Enum):
@@ -268,10 +262,9 @@ class Analysis:
     verdict: Verdict
     identity_residuals: np.ndarray | None
     oracle: IntersectionArray | OracleRefusal
-    tol_eq: float
 
 
-def analyze(g: Graph, *, tol_eq: float = DEFAULT_EQUALITY_TOL) -> Analysis:
+def analyze(g: Graph) -> Analysis:
     """Run the full pipeline on a connected graph.
 
     Laplacian, its certified eigendecomposition, clustering, predistance
@@ -288,21 +281,19 @@ def analyze(g: Graph, *, tol_eq: float = DEFAULT_EQUALITY_TOL) -> Analysis:
     distance-regular, so there the d + 1 n x n products would only restate
     the theorem.  The Hoffman residual runs on every verdict.
 
-    tol_eq sets the verdict band only.  The route cross-check and the
-    guard against a relative gap below -10 * CROSS_CHECK_TOL read that
-    fixed bound, 1e-6, five decades above the largest route gap measured.
+    The verdict band is the fixed ``EQUALITY_TOL``.  The route cross-check
+    and the guard against a relative gap below -10 * CROSS_CHECK_TOL read
+    their own fixed bound, 1e-6, five decades above the largest route gap
+    measured.  The certificate and the clustering read the fixed
+    ``eigen.CLUSTER_TOL``.  No caller sets any of the three.
 
     Every cross-check fails closed: a failed eigendecomposition
     certificate, a non-finite spectral quantity or residual, a disagreement
     between the two routes, oracle counts that no distance matrix can
     give, or a decisive verdict the oracle contradicts raises
     InternalCheckError rather than returning a report that contradicts the
-    theorem.  A tol_eq that ``check_tolerance`` refuses is the caller's
-    error, not the computation's, and raises ValueError before any work.
-    The certificate and the clustering read the fixed
-    ``eigen.CLUSTER_TOL``.
+    theorem.
     """
-    check_tolerance(tol_eq)
     raw, vectors = eigenvalues_sym(laplacian_matrix(g))
     spectrum = cluster_spectrum(raw)
     system = predistance_system(SpectralMeasure.from_spectrum(spectrum))
@@ -334,9 +325,9 @@ def analyze(g: Graph, *, tol_eq: float = DEFAULT_EQUALITY_TOL) -> Analysis:
             "more than tolerance; this bound cannot fail, so the spectrum "
             "or clustering is wrong"
         )
-    if rel <= tol_eq:
+    if rel <= EQUALITY_TOL:
         verdict = Verdict.DISTANCE_REGULAR
-    elif rel >= 10.0 * tol_eq:
+    elif rel >= 10.0 * EQUALITY_TOL:
         verdict = Verdict.NOT_DISTANCE_REGULAR
     else:
         verdict = Verdict.INCONCLUSIVE
@@ -392,5 +383,4 @@ def analyze(g: Graph, *, tol_eq: float = DEFAULT_EQUALITY_TOL) -> Analysis:
         verdict=verdict,
         identity_residuals=residuals,
         oracle=oracle,
-        tol_eq=tol_eq,
     )

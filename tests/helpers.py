@@ -19,10 +19,6 @@ from lapexcess import (
     theorem,
 )
 
-# tol_eq must lie in [2**-52, 1): each of these is refused
-BAD_TOLERANCES = (0.0, -1e-8, math.inf, math.nan, 2.0**-53, 1e-320, 1.0, 1e308)
-
-
 def random_connected_graph(rng, n: int, extra_edges: int = 0) -> Graph:
     """Random tree on n vertices plus up to extra_edges random chords."""
     edges = set()

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lapexcess import (
+    EQUALITY_TOL,
     Graph,
     IntersectionArray,
     Verdict,
@@ -71,4 +72,4 @@ def test_relabelling_keeps_the_verdict_and_the_excess_bound(pair):
     assert a.distances.diameter == b.distances.diameter
     assert oracle_outcome(a.oracle) == oracle_outcome(b.oracle)
     for x in (a, b):
-        assert x.average_excess <= x.spectral_excess * (1.0 + x.tol_eq)
+        assert x.average_excess <= x.spectral_excess * (1.0 + EQUALITY_TOL)

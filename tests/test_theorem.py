@@ -7,7 +7,6 @@ import networkx as nx
 import numpy as np
 import pytest
 from helpers import (
-    BAD_TOLERANCES,
     adjacency,
     gnp_graph,
     overflow_polynomial,
@@ -53,7 +52,7 @@ from lapexcess import (
 )
 from lapexcess import format_edge_list, graphs, theorem
 from lapexcess.cli import main
-from lapexcess.theorem import CROSS_CHECK_TOL, DEFAULT_EQUALITY_TOL
+from lapexcess.theorem import CROSS_CHECK_TOL, EQUALITY_TOL
 
 
 def prism_graph() -> Graph:
@@ -323,35 +322,21 @@ def test_relabeling_invariance():
             assert np.isclose(rep.spectral_excess, ref.spectral_excess, atol=1e-9)
 
 
-def test_gray_zone_is_inconclusive():
-    # path(4) has relative gap 0.375; a tolerance of 0.1 puts it between
-    # tol and 10*tol
-    rep = analyze(path_graph(4), tol_eq=0.1)
+def test_gray_zone_is_inconclusive(monkeypatch):
+    # path(4) has relative gap 0.375; a band injected at 0.1 puts it
+    # between the band and ten times it
+    monkeypatch.setattr(theorem, "EQUALITY_TOL", 0.1)
+    rep = analyze(path_graph(4))
     assert rep.verdict is Verdict.INCONCLUSIVE
+    assert build_document(rep)["tolerances"]["equality"] == 0.1
 
 
-def test_sloppy_tolerance_trips_oracle_audit():
-    # tol_eq = 0.5 would call path(4) distance-regular; the oracle
-    # disagrees and the pipeline must refuse to return the report
+def test_sloppy_tolerance_trips_oracle_audit(monkeypatch):
+    # a band injected at 0.5 would call path(4) distance-regular; the
+    # oracle disagrees and the pipeline must refuse to return the report
+    monkeypatch.setattr(theorem, "EQUALITY_TOL", 0.5)
     with pytest.raises(InternalCheckError):
-        analyze(path_graph(4), tol_eq=0.5)
-
-
-@pytest.mark.parametrize("bad", BAD_TOLERANCES)
-@pytest.mark.parametrize("name, label", [("tol_eq", "equality")], ids=["tol_eq"])
-def test_bad_tolerances_are_refused(monkeypatch, name, label, bad):
-    # the caller's error, refused where the tolerance enters, before any
-    # work: not blamed on the computation as InternalCheckError (a
-    # RuntimeError), and not passed on to a report that dumps would then
-    # refuse
-    def no_work(*args):
-        raise AssertionError("the tolerance was not checked first")
-
-    monkeypatch.setattr(theorem, "laplacian_matrix", no_work)
-    monkeypatch.setattr(theorem, "eigenvalues_sym", no_work)
-    with pytest.raises(ValueError) as info:
-        analyze(petersen_graph(), **{name: bad})
-    assert str(info.value) == f"{label} tolerance must lie in [2**-52, 1), got {bad!r}"
+        analyze(path_graph(4))
 
 
 def test_corpus_structural_invariants(analyzed_corpus):
@@ -443,15 +428,17 @@ def test_three_eigenvalue_gamma_matches_system():
 
 def test_nan_closed_form_raises(monkeypatch):
     monkeypatch.setattr(theorem, "spectral_excess_closed_form", lambda spectrum, phis: math.nan)
-    for tol_eq in (DEFAULT_EQUALITY_TOL, 0.5):
+    for band in (EQUALITY_TOL, 0.5):
+        monkeypatch.setattr(theorem, "EQUALITY_TOL", band)
         with pytest.raises(InternalCheckError, match="disagrees between routes"):
-            analyze(petersen_graph(), tol_eq=tol_eq)
+            analyze(petersen_graph())
 
 
-@pytest.mark.parametrize("tol_eq", [2.0**-52, DEFAULT_EQUALITY_TOL, 0.5])
-def test_route_check_reads_its_own_bound(monkeypatch, tol_eq):
+@pytest.mark.parametrize("band", [2.0**-52, EQUALITY_TOL, 0.5])
+def test_route_check_reads_its_own_bound(monkeypatch, band):
     # the closed form moved by a tenth of CROSS_CHECK_TOL passes the route
     # check and by ten times it fails, whatever the verdict band
+    monkeypatch.setattr(theorem, "EQUALITY_TOL", band)
     closed_form = theorem.spectral_excess_closed_form
     for factor, fails in ((0.1, False), (10.0, True)):
         monkeypatch.setattr(
@@ -461,9 +448,9 @@ def test_route_check_reads_its_own_bound(monkeypatch, tol_eq):
         )
         if fails:
             with pytest.raises(InternalCheckError, match="disagrees between routes"):
-                analyze(petersen_graph(), tol_eq=tol_eq)
+                analyze(petersen_graph())
         else:
-            assert analyze(petersen_graph(), tol_eq=tol_eq).verdict is Verdict.DISTANCE_REGULAR
+            assert analyze(petersen_graph()).verdict is Verdict.DISTANCE_REGULAR
 
 
 def test_nan_spectral_excess_raises(monkeypatch):

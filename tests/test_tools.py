@@ -36,10 +36,10 @@ def test_digest_pins_the_bytes(capsys):
         "complete:6   ea9337a6d003e5b3bc47048af4dddd6385354613b175d846aca0a9ee47096011  (4 calls)",
         "complete_bipartite:3:4 d5ea041e991de18db56a23c6334f7d3676a215bd065ddb8adc3035be624818e9  (4 calls)",
         "star:5       d32c391805a50a5167028a11937de3e74725aaea420db72ca448e4bb1f6abded  (4 calls)",
-        "errors       01db9f5dfd6303cbd0741a6cd180966d6f160940d340681576e6ec316a42fcd8  (3 calls)",
-        "inputs       e3f7d2209e16f43269e50c2587db2f2d0553e2673215b6ed193746ba70afb696  (21 calls)",
+        "errors       86d5dc6ac7d5c88000a92480a53efc8dd0bbcc19bd652f4c8b27b572c5daf25e  (3 calls)",
+        "inputs       763ed32d158562d51e4f961dba4c59aff95db87ad3ff2eb667a223263c98fd7a  (21 calls)",
         "gen          f3711451f7716ebc8ce81915739a14442400df8ad68a920aaa92ae586cb104fe  (9 calls)",
-        "all          5e9b463a0fdd0f2abd8c5c1250e2c55f1e6f4050dc9ad3dfcb42014a700687db",
+        "all          8e8f184379a847aeb70dc6c3673f30ff3c75db1c3b6beb950de7d24457d0db02",
     ]
 
 

@@ -17,16 +17,16 @@ Specs:
   ``complete:6``, ``complete_bipartite:3:4``, ``star:5``: ``analyze`` and
   ``spectrum`` on ``--gen SPEC``, each with and without ``--json``;
 * ``errors``: the failure paths that options and input reach, one call
-  each: ``analyze --gen path:4 --tol-eq 0.5`` (the oracle refuses, exit
-  70), ``analyze -`` on a malformed line (exit 64) and on a disconnected
+  each: ``analyze --gen path:4 --tol-eq 0.5`` (an unknown option, exit
+  64), ``analyze -`` on a malformed line (exit 64) and on a disconnected
   edge list (exit 65);
 * ``inputs``: every input refusal of ``analyze``, one call each.  The ten
   malformed texts of ``tests/test_graphs.py::test_parse_rejects_malformed``
   on stdin; ``--gen`` with an unknown family, a wrong arity, a non-integer
   parameter and ``path:0``; a missing file; a file together with
-  ``--gen``; no input at all; and on ``--gen petersen``, ``--tol-eq``
-  1e-300 and 1, each outside the tolerance range [2**-52, 1), the unknown
-  option ``--tol-eig 1e-8`` and the abbreviation ``--tol 1e-6``;
+  ``--gen``; no input at all; and on ``--gen petersen``, the unknown
+  options ``--tol-eq 1e-300``, ``--tol-eq 1`` and ``--tol-eig 1e-8``, and
+  the abbreviation ``--tol 1e-6``;
 * ``gen``: the edge list ``gen`` prints for each family, the bytes that
   ``gen SPEC | analyze -`` reads, and ``analyze -`` on an edge list with a
   comment line, a blank line and a trailing comment.

@@ -243,7 +243,3 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return EXIT_INTERNAL
-
-
-if __name__ == "__main__":
-    sys.exit(main())

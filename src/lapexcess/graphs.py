@@ -52,7 +52,9 @@ class Graph:
     numpy-integer pairs equals, and hashes like, the one built from its
     canonical edges.  A non-integer, a loop, an endpoint outside 0..n-1 or
     a non-positive n raises :class:`GraphInputError`, and a disconnected
-    graph :class:`DisconnectedGraphError`.
+    graph :class:`DisconnectedGraphError`.  This is the one check of the
+    vertex count and the endpoint range: the edge-list reader and the
+    generators leave both to it.
 
     ``edges`` is the only stored view of the edge set, a frozenset of the
     normalized pairs.  The dense boolean ``adjacency_matrix`` is built from
@@ -145,8 +147,10 @@ def parse_edge_list(text: str) -> Graph:
     count; otherwise it is inferred as max index + 1.  ``#`` starts a
     comment; blank lines are ignored.  Duplicate edges collapse.
 
-    Raises :class:`GraphInputError` for malformed input, naming the line,
-    and :class:`DisconnectedGraphError` for disconnected graphs.
+    Raises :class:`GraphInputError` naming the line for a malformed line,
+    a negative index or a self-loop, and for empty input; :class:`Graph`
+    refuses, with its own message, a count below 1, an endpoint outside
+    0..n-1 and a disconnected graph (:class:`DisconnectedGraphError`).
     """
     declared_n = None
     pairs = []
@@ -161,8 +165,6 @@ def parse_edge_list(text: str) -> Graph:
                 declared_n = int(parts[1])
             except ValueError:
                 raise GraphInputError(f"line {lineno}: bad vertex count {parts[1]!r}") from None
-            if declared_n < 1:
-                raise GraphInputError(f"line {lineno}: vertex count must be positive")
             continue
         if len(parts) != 2:
             raise GraphInputError(f"line {lineno}: expected 'u v', got {raw!r}")
@@ -176,17 +178,11 @@ def parse_edge_list(text: str) -> Graph:
             raise GraphInputError(f"line {lineno}: self-loop at vertex {u}")
         pairs.append((u, v))
 
-    top = max(map(max, pairs), default=-1)
-    if declared_n is None:
-        if not pairs:
-            raise GraphInputError("empty input: no vertices or edges")
-        n = top + 1
-    else:
-        n = declared_n
-        if top >= n:
-            u, v = next(pair for pair in pairs if max(pair) >= n)
-            raise GraphInputError(f"edge ({u}, {v}) references a vertex >= declared n={n}")
-    return Graph(n, pairs)
+    if declared_n is not None:
+        return Graph(declared_n, pairs)
+    if not pairs:
+        raise GraphInputError("empty input: no vertices or edges")
+    return Graph(max(map(max, pairs)) + 1, pairs)
 
 
 def format_edge_list(g: Graph) -> str:
@@ -205,10 +201,9 @@ def format_edge_list(g: Graph) -> str:
 # ---------------------------------------------------------------------------
 
 def path_graph(k: int) -> Graph:
-    """Path on k >= 1 vertices: edges (i, i+1) for i = 0..k-2."""
+    """Path on k vertices: edges (i, i+1) for i = 0..k-2.  :class:`Graph`
+    refuses k < 1."""
     k = _integer(k, "family 'path' parameter")
-    if k < 1:
-        raise GraphInputError(f"path needs k >= 1, got {k}")
     return Graph(k, zip(range(k - 1), range(1, k)))
 
 
@@ -221,10 +216,8 @@ def cycle_graph(k: int) -> Graph:
 
 
 def complete_graph(k: int) -> Graph:
-    """Complete graph on k >= 1 vertices."""
+    """Complete graph on k vertices.  :class:`Graph` refuses k < 1."""
     k = _integer(k, "family 'complete' parameter")
-    if k < 1:
-        raise GraphInputError(f"complete needs k >= 1, got {k}")
     return Graph(k, combinations(range(k), 2))
 
 

@@ -127,8 +127,22 @@ def test_abbreviated_or_unknown_option_exits_64(capsys, command, extra):
     assert f"lapexcess {command}: error: unrecognized arguments: {extra[0]}\n" in captured.err
 
 
+def test_unknown_option_value_taken_as_edgelist_exits_64(capsys):
+    # argparse binds 1e-6 to the optional EDGELIST, so the refusal lists
+    # the words left over; it must still exit 64 and name the option
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--tol-eq", "1e-6", "-"])
+    assert exc.value.code == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: lapexcess analyze ")
+    error_line = captured.err.splitlines()[-1]
+    assert error_line.startswith("lapexcess analyze: error: ")
+    assert "--tol-eq" in error_line
+
+
 @pytest.mark.parametrize("spec, message", [
-    ("complete:0", "complete needs k >= 1, got 0"),
+    ("complete:0", "vertex count must be positive, got 0"),
     ("complete_bipartite:0,3", "complete_bipartite needs both parts >= 1, got 0, 3"),
     ("star:0", "star needs k >= 1 leaves, got 0"),
 ])
@@ -204,7 +218,9 @@ def test_internal_error_exits_70(monkeypatch, capsys):
 
     monkeypatch.setattr(cli_mod, "analyze", boom)
     assert main(["analyze", "--gen", "petersen"]) == 70
-    assert "internal error" in capsys.readouterr().err
+    assert capsys.readouterr() == (
+        "", "lapexcess: internal error: forced for the exit-code test\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -219,8 +219,11 @@ MALFORMED = {
     "3 3\n": "line 1: self-loop at vertex 3",
     "n\n0 1\n": "line 1: malformed vertex-count line 'n'",
     "n two\n0 1\n": "line 1: bad vertex count 'two'",
-    "n 0\n": "line 1: vertex count must be positive",
-    "n 2\n0 5\n": "edge (0, 5) references a vertex >= declared n=2",
+    # Graph refuses a count below 1 or an endpoint out of range, in its words
+    "n 0\n": "vertex count must be positive, got 0",
+    "n -3\n0 1\n": "vertex count must be positive, got -3",
+    "n 2\n0 5\n": "edge (0, 5) has an endpoint outside 0..1",
+    "n 2\n5 0\n": "edge (5, 0) has an endpoint outside 0..1",
 }
 
 
@@ -228,6 +231,24 @@ MALFORMED = {
 def test_parse_rejects_malformed(text):
     with pytest.raises(GraphInputError, match=f"^{re.escape(MALFORMED[text])}$"):
         parse_edge_list(text)
+
+
+@pytest.mark.parametrize("n, pairs", [
+    (0, []),
+    (-3, [(0, 1)]),
+    (2, [(0, 5)]),
+    (2, [(5, 0)]),
+    (3, [(0, 1), (1, 2), (2, 3), (9, 0)]),
+])
+def test_parse_leaves_count_and_range_to_graph(n, pairs):
+    # one rule, one message: the reader adds nothing to Graph's refusal
+    with pytest.raises(GraphInputError) as direct:
+        Graph(n, pairs)
+    text = f"n {n}\n" + "".join(f"{u} {v}\n" for u, v in pairs)
+    with pytest.raises(GraphInputError) as parsed:
+        parse_edge_list(text)
+    assert type(parsed.value) is type(direct.value) is GraphInputError
+    assert str(parsed.value) == str(direct.value)
 
 
 def test_format_parse_round_trip():
@@ -304,6 +325,7 @@ def test_generate_errors():
         # generate() checks the count only, so a wrong count comes first
         ("petersen", (1.5,), "family 'petersen' takes 0 parameter(s), got 1"),
         ("path", (4.7,), "family 'path' parameter must be an integer, got 4.7"),
+        ("path", (0,), "vertex count must be positive, got 0"),
         ("cycle", (2,), "cycle needs k >= 3, got 2"),
         ("hypercube", (0,), "hypercube needs q >= 1, got 0"),
     ]:

@@ -37,9 +37,9 @@ def test_digest_pins_the_bytes(capsys):
         "complete_bipartite:3:4 d5ea041e991de18db56a23c6334f7d3676a215bd065ddb8adc3035be624818e9  (4 calls)",
         "star:5       d32c391805a50a5167028a11937de3e74725aaea420db72ca448e4bb1f6abded  (4 calls)",
         "errors       86d5dc6ac7d5c88000a92480a53efc8dd0bbcc19bd652f4c8b27b572c5daf25e  (3 calls)",
-        "inputs       763ed32d158562d51e4f961dba4c59aff95db87ad3ff2eb667a223263c98fd7a  (21 calls)",
+        "inputs       2e07ca4ba81f4614d0b915aa80c97d04c0107c6db9504e6c69d3e475279c7c87  (21 calls)",
         "gen          f3711451f7716ebc8ce81915739a14442400df8ad68a920aaa92ae586cb104fe  (9 calls)",
-        "all          8e8f184379a847aeb70dc6c3673f30ff3c75db1c3b6beb950de7d24457d0db02",
+        "all          26354d9796d811d2df75151bf463018d582c0753eaea601fdd9202b1c6f93f02",
     ]
 
 

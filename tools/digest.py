@@ -20,9 +20,10 @@ Specs:
   each: ``analyze --gen path:4 --tol-eq 0.5`` (an unknown option, exit
   64), ``analyze -`` on a malformed line (exit 64) and on a disconnected
   edge list (exit 65);
-* ``inputs``: every input refusal of ``analyze``, one call each.  The ten
-  malformed texts of ``tests/test_graphs.py::test_parse_rejects_malformed``
-  on stdin; ``--gen`` with an unknown family, a wrong arity, a non-integer
+* ``inputs``: every input refusal of ``analyze``, one call each.  Ten of
+  the malformed texts of ``tests/test_graphs.py::test_parse_rejects_malformed``
+  on stdin, ``n 0`` and ``n 2``/``0 5`` among them, which ``Graph``
+  refuses; ``--gen`` with an unknown family, a wrong arity, a non-integer
   parameter and ``path:0``; a missing file; a file together with
   ``--gen``; no input at all; and on ``--gen petersen``, the unknown
   options ``--tol-eq 1e-300``, ``--tol-eq 1`` and ``--tol-eig 1e-8``, and

@@ -35,18 +35,28 @@ def absolute_tol(raw) -> float:
     return CLUSTER_TOL * max(1.0, abs(float(raw[0])), abs(float(raw[-1])))
 
 
+def _refuse_non_finite(a: np.ndarray, name: str) -> None:
+    """Raise ValueError naming the first non-finite entry of a and its index."""
+    finite = np.isfinite(a)
+    if not finite.all():
+        index = np.unravel_index(int(np.argmin(finite)), a.shape)
+        where = int(index[0]) if a.ndim == 1 else tuple(map(int, index))
+        raise ValueError(f"{name} entry {where} is {float(a[index])}, not finite")
+
+
 def eigenvalues_sym(m: np.ndarray):
     """(values, V) of a dense symmetric matrix m: eigh's ascending
     eigenvalues and orthonormal eigenbasis, certified by
     max|m V - V diag(values)| <= absolute_tol(values).  m must be
     exactly symmetric, so the certificate attests m itself: any asymmetry,
-    however small, raises ValueError, as does a non-square m.  Raises
-    InternalCheckError if the certificate fails, and
-    numpy.linalg.LinAlgError if LAPACK does not converge.
+    however small, raises ValueError, as does a non-square m or a
+    non-finite entry.  Raises InternalCheckError if the certificate fails,
+    and numpy.linalg.LinAlgError if LAPACK does not converge.
     """
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    _refuse_non_finite(a, "matrix")
     if not np.array_equal(a, a.T):
         asym = float(np.abs(a - a.T).max())
         raise ValueError(f"matrix is not symmetric (max asymmetry {asym:g})")
@@ -104,11 +114,12 @@ def cluster_spectrum(raw: np.ndarray) -> DistinctSpectrum:
     connected, that means the threshold merged distinct eigenvalues) or
     when it is not zero within the threshold.  The values are ascending, so
     every later cluster is then positive.  Raises ValueError for a raw
-    that is empty, not 1-d or not ascending.
+    that is empty, not 1-d, not finite or not ascending.
     """
     raw = np.asarray(raw, dtype=float)
     if raw.ndim != 1 or len(raw) == 0:
         raise ValueError("raw spectrum must be a nonempty 1-d array")
+    _refuse_non_finite(raw, "raw spectrum")
     values = raw.tolist()
     if any(b < a for a, b in zip(values, values[1:])):
         raise ValueError("raw spectrum must be sorted ascending")

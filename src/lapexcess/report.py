@@ -1,6 +1,6 @@
 """Report documents, and their JSON and text renderings.
 
-A report is a versioned document ("schema": 3) of builtins only (dict,
+A report is a versioned document ("schema": 4) of builtins only (dict,
 list, str, int, float, bool and None): :func:`build_document` makes one
 from an Analysis and :func:`spectrum_document` one from a clustered
 spectrum.  The document alone decides what a report says.  :func:`dumps`
@@ -21,7 +21,7 @@ import json
 from . import eigen, theorem
 from .theorem import Analysis, IntersectionArray, per_vertex_excess
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 dumps = json.JSONEncoder(allow_nan=False).encode
 
@@ -54,7 +54,6 @@ def _oracle_document(analysis: Analysis) -> dict:
     res = analysis.oracle
     if isinstance(res, IntersectionArray):
         return {
-            "ran": True,
             "distance_regular": True,
             "intersection_array": {
                 "b": list(res.b),
@@ -64,7 +63,6 @@ def _oracle_document(analysis: Analysis) -> dict:
             },
         }
     return {
-        "ran": True,
         "distance_regular": False,
         "refusal": {
             "reason": res.reason,

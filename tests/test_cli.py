@@ -420,7 +420,7 @@ def test_analyze_stdin(monkeypatch, capsys):
 def test_analyze_json_output(capsys):
     assert main(["analyze", "--gen", "petersen", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["schema"] == 3
+    assert doc["schema"] == 4
     assert "polynomials" not in doc["predistance"]
     assert "coefficients" not in doc["hoffman"]
     assert doc["excess"]["verdict"] == "distance_regular"
@@ -444,6 +444,8 @@ def test_spectrum_command(capsys):
     assert "multiplicity 2" in out
     assert main(["spectrum", "--gen", "cycle:4", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
+    assert doc["schema"] == 4
+    assert doc.keys() == {"schema", "graph", "spectrum"}
     assert doc["spectrum"]["distinct"] == pytest.approx([0.0, 2.0, 4.0], abs=1e-9)
     assert doc["spectrum"]["multiplicities"] == [1, 2, 1]
     assert doc["spectrum"]["phi"] == pytest.approx([8.0, -4.0, 8.0], abs=1e-9)
@@ -507,6 +509,6 @@ def test_calls_in_one_process_match_fresh_processes(monkeypatch, capsys):
     # the first call's --json does not leak into the last, which prints text
     first = json.loads(in_process[0][1])
     assert first["tolerances"]["equality"] == 1e-6
-    assert first["oracle"]["ran"] is True
+    assert "ran" not in first["oracle"]
     assert in_process[2][1].startswith("graph: 4 vertices")
     assert in_process[2][1].endswith("verdict: not_distance_regular\n")

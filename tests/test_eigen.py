@@ -5,6 +5,7 @@ trace identities of a graph Laplacian.
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -237,6 +238,30 @@ def test_refuses_rounding_level_asymmetry():
     message = "matrix is not symmetric (max asymmetry 1.11022e-15)"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         eigenvalues_sym(m)
+
+
+@pytest.mark.parametrize(
+    "function, values, message",
+    [
+        (cluster_spectrum, [math.nan], "raw spectrum entry 0 is nan, not finite"),
+        (cluster_spectrum, [0.0, math.nan, 2.0], "raw spectrum entry 1 is nan, not finite"),
+        (cluster_spectrum, [0.0, 1.0, math.inf], "raw spectrum entry 2 is inf, not finite"),
+        (eigenvalues_sym, [[math.nan]], "matrix entry (0, 0) is nan, not finite"),
+        (
+            eigenvalues_sym,
+            [[2.0, -math.inf], [-math.inf, 2.0]],
+            "matrix entry (0, 1) is -inf, not finite",
+        ),
+    ],
+)
+def test_refuses_non_finite_input(function, values, message):
+    # a NaN fails every comparison and an infinity poisons the threshold
+    # and the certificate, so neither gets past the argument checks; the
+    # refusal comes before any arithmetic that would warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            function(np.array(values))
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,7 @@ def test_dumps_exact_bytes():
 # Documents
 # ---------------------------------------------------------------------------
 
-SCHEMA_3_SECTIONS = {
+SCHEMA_4_SECTIONS = {
     "tool": {"name", "version"},
     "tolerances": {"eigenvalue_cluster", "equality"},
     "graph": {
@@ -64,7 +64,7 @@ SCHEMA_3_SECTIONS = {
         "d", "diameter", "average", "spectral", "spectral_closed_form", "per_vertex",
         "equality_gap", "relative_gap", "identity_residuals", "verdict",
     },
-    "oracle": {"ran", "distance_regular", "intersection_array"},
+    "oracle": {"distance_regular", "intersection_array"},
 }
 
 
@@ -80,9 +80,9 @@ def test_document_structure_and_fidelity():
     analysis = analyze(petersen_graph())
     doc = build_document(analysis)
     parsed = json.loads(dumps(doc))
-    assert parsed["schema"] == 3
-    assert parsed.keys() == {"schema", *SCHEMA_3_SECTIONS}
-    for section, keys in SCHEMA_3_SECTIONS.items():
+    assert parsed["schema"] == 4
+    assert parsed.keys() == {"schema", *SCHEMA_4_SECTIONS}
+    for section, keys in SCHEMA_4_SECTIONS.items():
         assert parsed[section].keys() == keys, section
     assert parsed["oracle"]["intersection_array"].keys() == {"b", "c", "a", "notation"}
     assert parsed["graph"]["n"] == 10
@@ -104,11 +104,11 @@ def test_identity_residuals_are_null_on_not_distance_regular():
     # not computed; every other key of the document is still there
     analysis = analyze(path_graph(4))
     parsed = json.loads(dumps(build_document(analysis)))
-    assert parsed["schema"] == 3
+    assert parsed["schema"] == 4
     assert parsed["excess"]["verdict"] == "not_distance_regular"
     assert analysis.identity_residuals is None
     assert parsed["excess"]["identity_residuals"] is None
-    assert parsed["excess"].keys() == SCHEMA_3_SECTIONS["excess"]
+    assert parsed["excess"].keys() == SCHEMA_4_SECTIONS["excess"]
     assert parsed["hoffman"]["max_residual"] == analysis.hoffman_residual
     assert '"identity_residuals": null' in dumps(build_document(analysis))
 
@@ -180,7 +180,7 @@ def test_document_refusal_branch():
     analysis = analyze(path_graph(4))
     doc = build_document(analysis)
     oracle = doc["oracle"]
-    assert oracle["ran"] is True
+    assert oracle.keys() == {"distance_regular", "refusal"}
     assert oracle["distance_regular"] is False
     assert "not regular" in oracle["refusal"]["reason"]
 

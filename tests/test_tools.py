@@ -28,18 +28,18 @@ def test_digest_pins_the_bytes(capsys):
     # the 2988 atlas calls included (about 3 s).
     assert _load_digest().main([]) == 0
     assert capsys.readouterr().out.splitlines() == [
-        "atlas        4756ee009de6e3acd5cba9355fa4ef362fed2ff6dfc960e47adc41f0b824b7fa  (2988 calls)",
-        "cycle:128    97e718f095ffd3376a761591d0341a7cd559b4b211175810bca987fe0d647c7d  (4 calls)",
-        "path:128     4d06a79284c6de9ed8c69400dd675a87a682b836a8e152524adf0524e56753c0  (4 calls)",
-        "hypercube:6  fd7cce2ff6590cc36a32f77b2c19b599e8d81331c9775ee977ce57268080cb69  (4 calls)",
-        "petersen     e2da3653b013804158e205b1c5e13f1cfe10970872bca2040f29eb5356fae2f8  (4 calls)",
-        "complete:6   ea9337a6d003e5b3bc47048af4dddd6385354613b175d846aca0a9ee47096011  (4 calls)",
-        "complete_bipartite:3:4 d5ea041e991de18db56a23c6334f7d3676a215bd065ddb8adc3035be624818e9  (4 calls)",
-        "star:5       d32c391805a50a5167028a11937de3e74725aaea420db72ca448e4bb1f6abded  (4 calls)",
+        "atlas        f44de6957893e8d90e33203c212c1f721cc65b6aad6d0aece965e2bd2db26b0e  (2988 calls)",
+        "cycle:128    c256fc1106d846348a4f54940f87223d8ae3289824a1ce7ea236a299212e3e57  (4 calls)",
+        "path:128     aec572959865c99865856271a96993646dfb817a58ddea239e49caf03d130215  (4 calls)",
+        "hypercube:6  d5438578d196d95f68b1fdf68751e65cdf878c7415c0df6aa0ed5981030ef3cc  (4 calls)",
+        "petersen     c36ed66232a2a43e3afc073b6316f3219318081a67ba9108b21fe769e2adce6c  (4 calls)",
+        "complete:6   9495589d30510ff1e16d75b25126904ad4934be31cf95c66470a78c7ed7ed9b0  (4 calls)",
+        "complete_bipartite:3:4 ecad05e782cdb4aac3eeaba443e4796331ef5c1fdd2c25ff103dc02ba45b3a56  (4 calls)",
+        "star:5       ea0585848bac86a288086f1cf13bce088626906bd25af008f7a3d492fa347487  (4 calls)",
         "errors       86d5dc6ac7d5c88000a92480a53efc8dd0bbcc19bd652f4c8b27b572c5daf25e  (3 calls)",
         "inputs       2e07ca4ba81f4614d0b915aa80c97d04c0107c6db9504e6c69d3e475279c7c87  (21 calls)",
         "gen          f3711451f7716ebc8ce81915739a14442400df8ad68a920aaa92ae586cb104fe  (9 calls)",
-        "all          26354d9796d811d2df75151bf463018d582c0753eaea601fdd9202b1c6f93f02",
+        "all          a2005c5da6e39b26acdb13444d4e90e1a4ae91822014dcba41d9f42249d57237",
     ]
 
 

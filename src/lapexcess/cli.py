@@ -39,6 +39,7 @@ from .graphs import (
     generate,
     laplacian_matrix,
     parse_edge_list,
+    parse_integer,
 )
 from .report import (
     build_document,
@@ -155,19 +156,14 @@ def _parser() -> argparse.ArgumentParser:
 
 def _parse_family_spec(spec: str):
     """Split 'name:p1:p2' (or 'name:p1,p2') into the family name and
-    integer parameters."""
+    integer parameters, each read by ``graphs.parse_integer``."""
     name, sep, rest = spec.partition(":")
-    params = []
-    if sep:
-        for token in rest.replace(",", ":").split(":"):
-            token = token.strip()
-            try:
-                params.append(int(token))
-            except ValueError:
-                raise GraphInputError(
-                    f"bad integer parameter {token!r} in family spec {spec!r}"
-                ) from None
-    return name.strip(), tuple(params)
+    tokens = [token.strip() for token in rest.replace(",", ":").split(":")] if sep else []
+    params = tuple(map(parse_integer, tokens))
+    if None in params:
+        token = tokens[params.index(None)]
+        raise GraphInputError(f"bad integer parameter {token!r} in family spec {spec!r}")
+    return name.strip(), params
 
 
 def _load_graph(args) -> Graph:

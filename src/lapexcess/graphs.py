@@ -14,7 +14,7 @@ be shared freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations, product
 from operator import index
 
@@ -22,14 +22,33 @@ import numpy as np
 
 
 class GraphInputError(ValueError):
-    """Unusable graph input: a malformed edge list, a non-integer vertex
-    count or endpoint, a loop, an endpoint out of range, an unknown family
-    or bad parameters for a generator, or an input source that is missing,
-    unreadable or given twice (a file and a generated family)."""
+    """Unusable graph input: a malformed edge list, a vertex count or an
+    endpoint that is not an integer, a loop, an endpoint out of range, an
+    unknown family or bad parameters for a generator, or an input source
+    that is missing, unreadable or given twice (a file and a generated
+    family).  An integer given as text is read by :func:`parse_integer`,
+    which refuses ``1_0``, ``+2`` and non-ASCII digits."""
 
 
 class DisconnectedGraphError(GraphInputError):
     """The graph is not connected."""
+
+
+def parse_integer(token: str) -> int | None:
+    """``token`` read as an integer, or None if it is not one.
+
+    The one rule for an integer given as text, in an edge list or a
+    generator spec: an optional ``-`` followed by at most 640 of the ASCII
+    digits 0-9.  Python's ``int`` also reads ``1_0`` as 10, ``+2`` as 2 and
+    any Unicode decimal digit (``٢``, ``２``) as its ASCII twin; this
+    refuses them all.  ``-`` is allowed only so that the checks for a
+    negative index or count can name the input, and leading zeros are
+    accepted."""
+    digits = token.removeprefix("-")
+    # 640 is the fewest digits int() may be limited to reading from text
+    # (sys.set_int_max_str_digits), so int() reads every token passed here
+    ok = digits.isdigit() and digits.isascii() and len(digits) <= 640
+    return int(token) if ok else None
 
 
 def _integer(value, what: str) -> int:
@@ -145,15 +164,22 @@ def parse_edge_list(text: str) -> Graph:
     Format: one edge per line as two nonnegative integers ``u v``.  An
     optional first (non-comment) line ``n <count>`` declares the vertex
     count; otherwise it is inferred as max index + 1.  ``#`` starts a
-    comment; blank lines are ignored.  Duplicate edges collapse.
+    comment; blank lines are ignored.  Duplicate edges collapse.  The count
+    and the endpoints are read by :func:`parse_integer`: ASCII decimal
+    digits, ``-`` allowed only so that a negative one can be named, and
+    ``1_0``, ``+1`` or ``٢`` refused as not an integer.
 
     Raises :class:`GraphInputError` naming the line for a malformed line,
-    a negative index or a self-loop, and for empty input; :class:`Graph`
-    refuses, with its own message, a count below 1, an endpoint outside
-    0..n-1 and a disconnected graph (:class:`DisconnectedGraphError`).
+    a count or endpoint that is not an integer, a negative index or a
+    self-loop, and for empty input; :class:`Graph` refuses, with its own
+    message, a count below 1, an endpoint outside 0..n-1 and a disconnected
+    graph (:class:`DisconnectedGraphError`).
     """
     declared_n = None
     pairs = []
+    # a vertex is named once per edge at it, so each distinct token goes
+    # through the rule once and is looked up after that
+    read = cache(parse_integer)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split("#", 1)[0].split()
         if not parts:
@@ -161,17 +187,15 @@ def parse_edge_list(text: str) -> Graph:
         if parts[0] == "n" and declared_n is None and not pairs:
             if len(parts) != 2:
                 raise GraphInputError(f"line {lineno}: malformed vertex-count line {raw!r}")
-            try:
-                declared_n = int(parts[1])
-            except ValueError:
-                raise GraphInputError(f"line {lineno}: bad vertex count {parts[1]!r}") from None
+            declared_n = parse_integer(parts[1])
+            if declared_n is None:
+                raise GraphInputError(f"line {lineno}: bad vertex count {parts[1]!r}")
             continue
         if len(parts) != 2:
             raise GraphInputError(f"line {lineno}: expected 'u v', got {raw!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise GraphInputError(f"line {lineno}: non-integer vertex in {raw!r}") from None
+        u, v = read(parts[0]), read(parts[1])
+        if u is None or v is None:
+            raise GraphInputError(f"line {lineno}: non-integer vertex in {raw!r}")
         if u < 0 or v < 0:
             raise GraphInputError(f"line {lineno}: negative vertex index in {raw!r}")
         if u == v:

@@ -151,6 +151,20 @@ def test_empty_family_exits_64(capsys, spec, message):
     assert capsys.readouterr() == ("", f"lapexcess: error: {message}\n")
 
 
+@pytest.mark.parametrize("spec, token", [
+    ("path:1_0", "1_0"),
+    ("path:+4", "+4"),
+    ("path:٤", "٤"),
+    ("complete_bipartite:2,３", "３"),
+])
+def test_parameter_outside_the_integer_rule_exits_64(capsys, spec, token):
+    # int() would read each token as an integer; the spec reader does not
+    assert main(["analyze", "--gen", spec]) == 64
+    assert capsys.readouterr() == (
+        "", f"lapexcess: error: bad integer parameter {token!r} in family spec {spec!r}\n"
+    )
+
+
 def test_missing_file_exits_64(tmp_path, capsys):
     assert main(["analyze", str(tmp_path / "absent.txt")]) == 64
     capsys.readouterr()

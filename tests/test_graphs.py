@@ -33,6 +33,7 @@ from lapexcess import (
     petersen_graph,
     star_graph,
 )
+from lapexcess.graphs import parse_integer
 from lapexcess.theorem import per_vertex_excess
 
 
@@ -224,6 +225,12 @@ MALFORMED = {
     "n -3\n0 1\n": "vertex count must be positive, got -3",
     "n 2\n0 5\n": "edge (0, 5) has an endpoint outside 0..1",
     "n 2\n5 0\n": "edge (5, 0) has an endpoint outside 0..1",
+    # int() reads each of these as an integer; the reader's rule does not
+    "0 1\n1 1_0\n": "line 2: non-integer vertex in '1 1_0'",
+    "0 +1\n": "line 1: non-integer vertex in '0 +1'",
+    "0 1\n1 ٢\n": "line 2: non-integer vertex in '1 ٢'",
+    "n ３\n0 1\n1 2\n": "line 1: bad vertex count '３'",
+    "n 1_0\n0 1\n": "line 1: bad vertex count '1_0'",
 }
 
 
@@ -231,6 +238,26 @@ MALFORMED = {
 def test_parse_rejects_malformed(text):
     with pytest.raises(GraphInputError, match=f"^{re.escape(MALFORMED[text])}$"):
         parse_edge_list(text)
+
+
+def test_parse_integer_rule():
+    # an optional '-', then ASCII digits, no more than any int() reads
+    for token, value in [("0", 0), ("007", 7), ("-3", -3), ("9" * 640, int("9" * 640))]:
+        assert parse_integer(token) == value
+    for token in ["", "-", "--1", "-+1", "+1", "1_0", "٢", "３", "1 ", "0x1", "1e3"]:
+        assert parse_integer(token) is None
+    assert parse_integer("1" * 641) is None
+    assert parse_integer("-" + "0" * 641) is None
+
+
+def test_parse_refuses_a_token_past_the_digit_limit():
+    # 5000 digits are past the 4300 that int() reads by default: refused by
+    # the rule, not left to escape as a bare ValueError
+    huge = "1" * 5000
+    with pytest.raises(GraphInputError, match="^line 1: non-integer vertex in "):
+        parse_edge_list(f"0 {huge}\n")
+    with pytest.raises(GraphInputError, match="^line 1: bad vertex count "):
+        parse_edge_list(f"n {huge}\n0 1\n")
 
 
 @pytest.mark.parametrize("n, pairs", [

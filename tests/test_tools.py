@@ -37,9 +37,9 @@ def test_digest_pins_the_bytes(capsys):
         "complete_bipartite:3:4 ecad05e782cdb4aac3eeaba443e4796331ef5c1fdd2c25ff103dc02ba45b3a56  (4 calls)",
         "star:5       ea0585848bac86a288086f1cf13bce088626906bd25af008f7a3d492fa347487  (4 calls)",
         "errors       86d5dc6ac7d5c88000a92480a53efc8dd0bbcc19bd652f4c8b27b572c5daf25e  (3 calls)",
-        "inputs       2e07ca4ba81f4614d0b915aa80c97d04c0107c6db9504e6c69d3e475279c7c87  (21 calls)",
+        "inputs       4d3e7d3cbcaebbb033059b1df9a5951adb23f9635676ee72682fa2caf113caea  (23 calls)",
         "gen          f3711451f7716ebc8ce81915739a14442400df8ad68a920aaa92ae586cb104fe  (9 calls)",
-        "all          a2005c5da6e39b26acdb13444d4e90e1a4ae91822014dcba41d9f42249d57237",
+        "all          ee3d7dbbb4f6d0c304e820fb64522749f6fd412553666ca59ede1bf5fed6b6da",
     ]
 
 

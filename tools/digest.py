@@ -27,7 +27,9 @@ Specs:
   parameter and ``path:0``; a missing file; a file together with
   ``--gen``; no input at all; and on ``--gen petersen``, the unknown
   options ``--tol-eq 1e-300``, ``--tol-eq 1`` and ``--tol-eig 1e-8``, and
-  the abbreviation ``--tol 1e-6``;
+  the abbreviation ``--tol 1e-6``; last, ``1_0`` as an endpoint on stdin
+  and ``--gen path:+4``, which ``int()`` would read but the integer rule
+  refuses (23 calls in all);
 * ``gen``: the edge list ``gen`` prints for each family, the bytes that
   ``gen SPEC | analyze -`` reads, and ``analyze -`` on an edge list with a
   comment line, a blank line and a trailing comment.
@@ -78,6 +80,10 @@ INPUTS = tuple((["analyze", "-"], text) for text in MALFORMED) + tuple(
         ["analyze", "--gen", "petersen", "--tol-eig", "1e-8"],
         ["analyze", "--gen", "petersen", "--tol", "1e-6"],
     )
+) + (
+    # integers that int() would read but the integer rule refuses
+    (["analyze", "-"], "0 1\n1 1_0\n"),
+    (["analyze", "--gen", "path:+4"], ""),
 )
 
 # both spellings of a two-parameter spec, and every family

@@ -156,14 +156,16 @@ def _parser() -> argparse.ArgumentParser:
 
 def _parse_family_spec(spec: str):
     """Split 'name:p1:p2' (or 'name:p1,p2') into the family name and
-    integer parameters, each read by ``graphs.parse_integer``."""
+    integer parameters, each read by ``graphs.parse_integer``.  Each part
+    is trimmed of ASCII spaces and tabs only, as the edge-list reader
+    separates tokens."""
     name, sep, rest = spec.partition(":")
-    tokens = [token.strip() for token in rest.replace(",", ":").split(":")] if sep else []
+    tokens = [token.strip(" \t") for token in rest.replace(",", ":").split(":")] if sep else []
     params = tuple(map(parse_integer, tokens))
     if None in params:
         token = tokens[params.index(None)]
         raise GraphInputError(f"bad integer parameter {token!r} in family spec {spec!r}")
-    return name.strip(), params
+    return name.strip(" \t"), params
 
 
 def _load_graph(args) -> Graph:

@@ -167,7 +167,10 @@ def parse_edge_list(text: str) -> Graph:
     comment; blank lines are ignored.  Duplicate edges collapse.  The count
     and the endpoints are read by :func:`parse_integer`: ASCII decimal
     digits, ``-`` allowed only so that a negative one can be named, and
-    ``1_0``, ``+1`` or ``٢`` refused as not an integer.
+    ``1_0``, ``+1`` or ``٢`` refused as not an integer.  Tokens are
+    separated by ASCII spaces and tabs only, and a line ends only at LF,
+    CR LF or CR: any other whitespace, such as a no-break space, U+2028 or
+    a form feed, stays inside its token or line, which is then refused.
 
     Raises :class:`GraphInputError` naming the line for a malformed line,
     a count or endpoint that is not an integer, a negative index or a
@@ -180,8 +183,9 @@ def parse_edge_list(text: str) -> Graph:
     # a vertex is named once per edge at it, so each distinct token goes
     # through the rule once and is looked up after that
     read = cache(parse_integer)
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        parts = raw.split("#", 1)[0].split()
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, start=1):
+        parts = [p for p in raw.split("#", 1)[0].replace("\t", " ").split(" ") if p]
         if not parts:
             continue
         if parts[0] == "n" and declared_n is None and not pairs:

@@ -10,6 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from helpers import adjacency, neighbors, random_connected_graph, to_networkx
+from refusals import EDGE_LISTS
 
 import networkx as nx
 from lapexcess import (
@@ -211,33 +212,24 @@ def test_too_few_edges_rejected_without_per_vertex_memory():
     assert peak < 2**20
 
 
-MALFORMED = {
-    "": "empty input: no vertices or edges",
-    "0\n": "line 1: expected 'u v', got '0'",
-    "0 1 2\n": "line 1: expected 'u v', got '0 1 2'",
-    "x y\n": "line 1: non-integer vertex in 'x y'",
-    "0 -1\n": "line 1: negative vertex index in '0 -1'",
-    "3 3\n": "line 1: self-loop at vertex 3",
-    "n\n0 1\n": "line 1: malformed vertex-count line 'n'",
-    "n two\n0 1\n": "line 1: bad vertex count 'two'",
-    # Graph refuses a count below 1 or an endpoint out of range, in its words
-    "n 0\n": "vertex count must be positive, got 0",
-    "n -3\n0 1\n": "vertex count must be positive, got -3",
-    "n 2\n0 5\n": "edge (0, 5) has an endpoint outside 0..1",
-    "n 2\n5 0\n": "edge (5, 0) has an endpoint outside 0..1",
-    # int() reads each of these as an integer; the reader's rule does not
-    "0 1\n1 1_0\n": "line 2: non-integer vertex in '1 1_0'",
-    "0 +1\n": "line 1: non-integer vertex in '0 +1'",
-    "0 1\n1 ٢\n": "line 2: non-integer vertex in '1 ٢'",
-    "n ３\n0 1\n1 2\n": "line 1: bad vertex count '３'",
-    "n 1_0\n0 1\n": "line 1: bad vertex count '1_0'",
-}
-
-
-@pytest.mark.parametrize("text", list(MALFORMED))
+@pytest.mark.parametrize("text", list(EDGE_LISTS))
 def test_parse_rejects_malformed(text):
-    with pytest.raises(GraphInputError, match=f"^{re.escape(MALFORMED[text])}$"):
+    # the library raises the message the command line prints
+    with pytest.raises(GraphInputError, match=f"^{re.escape(EDGE_LISTS[text])}$"):
         parse_edge_list(text)
+
+
+def test_parse_reads_cr_line_ends_tabs_and_non_ascii_comments():
+    # lines end at LF, CR LF or CR and tokens part at spaces and tabs, so
+    # refusing every other whitespace refuses none of these
+    plain = parse_edge_list("n 4\n0 1\n1 2\n2 3\n")
+    for text in (
+        "n 4\r\n0 1\r\n1 2\r\n2 3\r\n",
+        "n 4\r0 1\r1 2\r2 3",
+        "n\t4\n0\t1\n\t1 \t2\n2 3\t\n",
+        "# café\nn 4\n0 1  # café\n1 2\n2 3\n",
+    ):
+        assert parse_edge_list(text) == plain
 
 
 def test_parse_integer_rule():

@@ -14,9 +14,8 @@ __version__ = "0.1.0"
 
 from .eigen import (
     CLUSTER_TOL,
-    DistinctSpectrum,
     InternalCheckError,
-    cluster_spectrum,
+    SpectralMeasure,
     eigenvalues_sym,
     phi_products,
 )
@@ -41,7 +40,6 @@ from .graphs import (
 )
 from .orthopoly import (
     PredistanceSystem,
-    SpectralMeasure,
     eval_matrix,
     predistance_system,
     predistance_values,
@@ -65,7 +63,6 @@ __all__ = [
     "CLUSTER_TOL",
     "DisconnectedGraphError",
     "DistanceData",
-    "DistinctSpectrum",
     "EQUALITY_TOL",
     "FAMILIES",
     "Graph",
@@ -79,7 +76,6 @@ __all__ = [
     "analyze",
     "average_excess",
     "build_document",
-    "cluster_spectrum",
     "complete_bipartite_graph",
     "complete_graph",
     "cycle_graph",

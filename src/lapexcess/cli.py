@@ -27,7 +27,7 @@ import sys
 
 from .eigen import (
     InternalCheckError,
-    cluster_spectrum,
+    SpectralMeasure,
     eigenvalues_sym,
     phi_products,
 )
@@ -65,10 +65,19 @@ class _Parser(argparse.ArgumentParser):
     """argparse exits with status 2 on bad usage, but this CLI reserves 2
     for the inconclusive verdict; usage errors exit 64 instead.
 
+    Usage is formatted at a fixed 78 columns, not at $COLUMNS, so a
+    refusal's stderr is the same on every terminal.
+
     argparse also hands a subcommand's unknown arguments up to the top
     level, which refuses them with its own usage.  Each subcommand's parser
     runs through parse_known_args, so refusing leftovers there names the
-    parser they were given to: ``lapexcess analyze: error: ...``."""
+    parser they were given to: ``lapexcess analyze: error: ...``.  Only
+    the options among them are named, if any: in ``--tol-eq 1e-6 -`` the
+    value took the EDGELIST slot and left '-' over."""
+
+    def __init__(self, *args, **kwargs):
+        width78 = functools.partial(argparse.HelpFormatter, width=78)
+        super().__init__(*args, formatter_class=width78, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -78,7 +87,8 @@ class _Parser(argparse.ArgumentParser):
     def parse_known_args(self, args=None, namespace=None):
         namespace, extras = super().parse_known_args(args, namespace)
         if extras:
-            self.error(f"unrecognized arguments: {' '.join(extras)}")
+            options = [word for word in extras if word.startswith("-") and word != "-"]
+            self.error(f"unrecognized arguments: {' '.join(options or extras)}")
         return namespace, extras
 
 
@@ -206,7 +216,7 @@ def _cmd_spectrum(args) -> int:
     # one of these three still exits 70.
     g = _load_graph(args)
     raw, _ = eigenvalues_sym(laplacian_matrix(g))
-    spectrum = cluster_spectrum(raw)
+    spectrum = SpectralMeasure.from_spectrum(raw)
     doc = spectrum_document(g, raw, spectrum, phi_products(spectrum))
     sys.stdout.write(dumps(doc) + "\n" if args.json else render_spectrum_text(doc))
     return 0

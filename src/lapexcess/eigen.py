@@ -3,10 +3,11 @@
 The Laplacian is factored once, by ``eigenvalues_sym``: one
 ``numpy.linalg.eigh`` call (LAPACK; Anderson et al., *LAPACK Users' Guide*,
 1999) gives the eigenvalues and an eigenbasis, certified together by their
-backward error, then the eigenvalues are clustered into distinct values
-with multiplicities.  The matrix must be exactly symmetric; it is refused,
-not symmetrized, so the certificate is about the matrix given.  The bits
-are deterministic for a fixed BLAS thread count.
+backward error.  ``SpectralMeasure.from_spectrum`` then clusters the
+eigenvalues into distinct values with multiplicities, the one spectral
+type the rest of the pipeline reads.  The matrix must be exactly
+symmetric; it is refused, not symmetrized, so the certificate is about the
+matrix given.  The bits are deterministic for a fixed BLAS thread count.
 """
 
 from __future__ import annotations
@@ -72,18 +73,79 @@ def eigenvalues_sym(m: np.ndarray):
 
 
 @dataclass(frozen=True)
-class DistinctSpectrum:
-    """Distinct eigenvalues with multiplicities, ascending.
-
-    For a connected graph Laplacian: thetas[0] is exactly 0 with
-    multiplicity 1 and all other values are positive.  ``d`` is the number
-    of distinct eigenvalues minus one.  ``min_gap`` is the smallest gap
-    between consecutive distinct values (inf when d = 0), recorded so the
-    clustering tolerance can be audited against the actual spectrum.
-    """
+class SpectralMeasure:
+    """The spectral measure of a connected graph Laplacian: weight m_i/n
+    at each distinct eigenvalue theta_i.  thetas is strictly ascending from
+    exactly 0; mults holds integers of at least 1, summing to n.  d is the
+    number of distinct eigenvalues minus one; min_gap, the smallest gap
+    between consecutive ones (inf when d = 0), lets the clustering
+    tolerance be audited against the actual spectrum."""
 
     thetas: np.ndarray
     mults: np.ndarray
+
+    def __post_init__(self):
+        thetas, mults = self.thetas.tolist(), self.mults.tolist()
+        if len(thetas) != len(mults):
+            raise ValueError("thetas and mults must have equal length")
+        first = thetas[0] if thetas else None
+        if first != 0.0:
+            raise ValueError(f"first node must be 0, got {first}")
+        if any(b <= a for a, b in zip(thetas, thetas[1:])):
+            raise ValueError("nodes must be strictly ascending")
+        if any(m < 1 for m in mults):
+            raise ValueError("multiplicities must be at least 1")
+
+    @classmethod
+    def from_spectrum(cls, raw) -> SpectralMeasure:
+        """The measure of raw ascending eigenvalues, grouped into distinct
+        values with multiplicities.
+
+        Greedy left-to-right: a value joins the current cluster when its
+        gap to the previous value is at most ``absolute_tol(raw)``, and a
+        cluster's value is the mean of its members.  The smallest cluster
+        must be the simple zero eigenvalue of a connected Laplacian and is
+        snapped to exactly 0; every later cluster is then positive.  Raises
+        :class:`InternalCheckError` when it holds more than one eigenvalue
+        (the threshold merged distinct ones, as the graphs this package
+        builds are connected) or is not zero within the threshold, and
+        ValueError for a raw that is empty, not 1-d, not finite or not
+        ascending.
+        """
+        raw = np.asarray(raw, dtype=float)
+        if raw.ndim != 1 or len(raw) == 0:
+            raise ValueError("raw spectrum must be a nonempty 1-d array")
+        _refuse_non_finite(raw, "raw spectrum")
+        values = raw.tolist()
+        if any(b < a for a, b in zip(values, values[1:])):
+            raise ValueError("raw spectrum must be sorted ascending")
+
+        tol_abs = absolute_tol(values)
+
+        thetas = []
+        mults = []
+        start = 0
+        for i in range(1, len(values) + 1):
+            if i == len(values) or values[i] - values[i - 1] > tol_abs:
+                thetas.append(values[start] if i - start == 1 else float(raw[start:i].mean()))
+                mults.append(i - start)
+                start = i
+
+        if mults[0] != 1:
+            merged = values[: mults[0]]
+            gap = max(b - a for a, b in zip(merged, merged[1:]))
+            raise InternalCheckError(
+                f"the smallest eigenvalue cluster has multiplicity {mults[0]}: the "
+                f"clustering tolerance {tol_abs:g} merged eigenvalues up to {gap:g} "
+                "apart, but a connected graph has a simple zero eigenvalue"
+            )
+        if abs(thetas[0]) > tol_abs:
+            raise InternalCheckError(
+                f"smallest eigenvalue {thetas[0]:g} is not zero within tolerance "
+                f"{tol_abs:g}; not a connected-graph Laplacian spectrum"
+            )
+        thetas[0] = 0.0
+        return cls(np.array(thetas), np.array(mults, dtype=int))
 
     @property
     def d(self) -> int:
@@ -94,65 +156,17 @@ class DistinctSpectrum:
         return int(self.mults.sum())
 
     @property
+    def weights(self) -> np.ndarray:
+        return self.mults / self.n
+
+    @property
     def min_gap(self) -> float:
         if self.d == 0:
             return math.inf
         return float(np.diff(self.thetas).min())
 
 
-def cluster_spectrum(raw: np.ndarray) -> DistinctSpectrum:
-    """Group raw ascending eigenvalues into distinct values with multiplicities.
-
-    Greedy left-to-right: a value joins the current cluster when its gap to
-    the previous value is at most ``absolute_tol(raw)``.  Each
-    cluster's value is the mean of its members.  The smallest cluster is
-    then validated as the simple zero eigenvalue of a connected Laplacian
-    and snapped to exactly 0.
-
-    Raises :class:`InternalCheckError` when the smallest cluster holds
-    more than one eigenvalue (for a graph built by this package, which is
-    connected, that means the threshold merged distinct eigenvalues) or
-    when it is not zero within the threshold.  The values are ascending, so
-    every later cluster is then positive.  Raises ValueError for a raw
-    that is empty, not 1-d, not finite or not ascending.
-    """
-    raw = np.asarray(raw, dtype=float)
-    if raw.ndim != 1 or len(raw) == 0:
-        raise ValueError("raw spectrum must be a nonempty 1-d array")
-    _refuse_non_finite(raw, "raw spectrum")
-    values = raw.tolist()
-    if any(b < a for a, b in zip(values, values[1:])):
-        raise ValueError("raw spectrum must be sorted ascending")
-
-    tol_abs = absolute_tol(values)
-
-    thetas = []
-    mults = []
-    start = 0
-    for i in range(1, len(values) + 1):
-        if i == len(values) or values[i] - values[i - 1] > tol_abs:
-            thetas.append(values[start] if i - start == 1 else float(raw[start:i].mean()))
-            mults.append(i - start)
-            start = i
-
-    if mults[0] != 1:
-        merged = values[: mults[0]]
-        gap = max(b - a for a, b in zip(merged, merged[1:]))
-        raise InternalCheckError(
-            f"the smallest eigenvalue cluster has multiplicity {mults[0]}: the "
-            f"clustering tolerance {tol_abs:g} merged eigenvalues up to {gap:g} "
-            "apart, but a connected graph has a simple zero eigenvalue"
-        )
-    if abs(thetas[0]) > tol_abs:
-        raise InternalCheckError(
-            f"smallest eigenvalue {thetas[0]:g} is not zero within tolerance "
-            f"{tol_abs:g}; not a connected-graph Laplacian spectrum"
-        )
-    thetas[0] = 0.0
-    return DistinctSpectrum(np.array(thetas), np.array(mults, dtype=int))
-
-
-def phi_products(s: DistinctSpectrum) -> np.ndarray:
+def phi_products(s: SpectralMeasure) -> np.ndarray:
     """For each distinct eigenvalue, the product of its gaps to all others:
     phi_i = prod_{j != i} (theta_i - theta_j).
 

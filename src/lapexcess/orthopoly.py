@@ -1,7 +1,7 @@
 """Discrete orthogonal polynomials on the Laplacian spectrum.
 
-The measure places weight m_i/n on each distinct Laplacian eigenvalue
-theta_i, defining
+The spectral measure, ``eigen.SpectralMeasure``, places weight m_i/n on
+each distinct Laplacian eigenvalue theta_i, defining
 
     <p, q> = sum_i w_i p(theta_i) q(theta_i).
 
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigen import DistinctSpectrum, InternalCheckError
+from .eigen import InternalCheckError, SpectralMeasure
 
 
 # ---------------------------------------------------------------------------
@@ -85,39 +85,8 @@ def eval_matrix(c, basis) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# The spectral measure and its orthogonal system
+# The orthogonal system
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SpectralMeasure:
-    """Discrete probability measure on the distinct Laplacian eigenvalues:
-    weight m_i/n at node theta_i, with theta_0 = 0."""
-
-    thetas: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        thetas, weights = self.thetas.tolist(), self.weights.tolist()
-        if len(thetas) != len(weights):
-            raise ValueError("thetas and weights must have equal length")
-        if thetas[0] != 0.0:
-            raise ValueError(f"first node must be 0, got {thetas[0]}")
-        if any(b <= a for a, b in zip(thetas, thetas[1:])):
-            raise ValueError("nodes must be strictly ascending")
-        if any(x <= 0 for x in weights):
-            raise ValueError("weights must be positive")
-        total = sum(weights)
-        if abs(total - 1.0) > 1e-12 * len(weights):
-            raise ValueError(f"weights must sum to 1, got {total}")
-
-    @classmethod
-    def from_spectrum(cls, s: DistinctSpectrum) -> "SpectralMeasure":
-        return cls(s.thetas.copy(), s.mults / s.n)
-
-    @property
-    def d(self) -> int:
-        return len(self.thetas) - 1
-
 
 @dataclass(frozen=True)
 class PredistanceSystem:
@@ -194,8 +163,8 @@ def predistance_system(mu: SpectralMeasure) -> PredistanceSystem:
     return PredistanceSystem(p0 * p0, np.array(a), s * ratio, s / ratio)
 
 
-def spectral_excess_closed_form(spectrum: DistinctSpectrum, phis: np.ndarray) -> float:
-    """r_d(0) directly from the clustered spectrum:
+def spectral_excess_closed_form(spectrum: SpectralMeasure, phis: np.ndarray) -> float:
+    """r_d(0) directly from the spectral measure:
 
         n * ( sum_i phi_0^2 / (m_i phi_i^2) )^(-1)
 

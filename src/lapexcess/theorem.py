@@ -6,7 +6,8 @@ vertices at distance d from a vertex) equals its spectral excess r_d(0),
 the value at zero of the highest predistance polynomial.  The average never
 exceeds the spectral excess, so the verdict reduces to an equality test.
 It and the residual checks read one spectrum, the certified eigenvalues and
-eigenbasis of ``eigen.eigenvalues_sym``.
+eigenbasis of ``eigen.eigenvalues_sym``; the verdict reads them as one
+``eigen.SpectralMeasure``, the distinct eigenvalues with multiplicities.
 
 Because equality of two floats is the hinge, the verdict is three-way:
 ``distance_regular`` when the relative gap is within ``EQUALITY_TOL``,
@@ -28,16 +29,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigen import (
-    DistinctSpectrum,
     InternalCheckError,
-    cluster_spectrum,
+    SpectralMeasure,
     eigenvalues_sym,
     phi_products,
 )
 from .graphs import DistanceData, Graph, distance_data, laplacian_matrix
 from .orthopoly import (
     PredistanceSystem,
-    SpectralMeasure,
     eval_matrix,
     predistance_system,
     predistance_values,
@@ -250,7 +249,7 @@ class Analysis:
 
     graph: Graph
     raw_eigenvalues: np.ndarray
-    spectrum: DistinctSpectrum
+    spectrum: SpectralMeasure
     system: PredistanceSystem
     phis: np.ndarray
     spectral_excess_closed: float
@@ -267,7 +266,8 @@ class Analysis:
 def analyze(g: Graph) -> Analysis:
     """Run the full pipeline on a connected graph.
 
-    Laplacian, its certified eigendecomposition, clustering, predistance
+    Laplacian, its certified eigendecomposition, its spectral measure
+    (``SpectralMeasure.from_spectrum``, the clustering), predistance
     system, spectral excess by both routes (r_d(0), which the
     normalization <r_d, r_d> = r_d(0) fixes, and the closed form from the
     eigenvalues), all-pairs distances, average excess, verdict, the Hoffman
@@ -295,8 +295,8 @@ def analyze(g: Graph) -> Analysis:
     theorem.
     """
     raw, vectors = eigenvalues_sym(laplacian_matrix(g))
-    spectrum = cluster_spectrum(raw)
-    system = predistance_system(SpectralMeasure.from_spectrum(spectrum))
+    spectrum = SpectralMeasure.from_spectrum(raw)
+    system = predistance_system(spectrum)
     d = spectrum.d
 
     # r_d(0) = <r_d, r_d>, as the Lanczos basis gave it

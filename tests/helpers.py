@@ -11,11 +11,11 @@ import numpy as np
 
 from lapexcess import (
     DistanceData,
-    DistinctSpectrum,
     Graph,
     IntersectionArray,
     OracleRefusal,
     PredistanceSystem,
+    SpectralMeasure,
     theorem,
 )
 
@@ -321,7 +321,7 @@ def reference_predistance(mu):
     return polys, alpha, beta, gamma
 
 
-def exact_predistance(s: DistinctSpectrum):
+def exact_predistance(s: SpectralMeasure):
     """(values_at_zero, alpha, beta, gamma) as lists of Fractions: the
     Stieltjes procedure in exact rational arithmetic on the spectrum's
     float nodes, with the exact weights m_i / n.

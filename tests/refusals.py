@@ -3,8 +3,9 @@
 ``ROWS`` is one table of (argv, stdin, exit code, stdout, whole stderr).
 ``test_refusal`` runs each row through ``cli.main`` in this process, and
 CI runs each through the installed ``lapexcess`` command, so a refusal
-whose bytes move shows up as the row that changed.  argparse wraps its
-usage line at the terminal width, so both set ``COLUMNS=80``.
+whose bytes move shows up as the row that changed.  The usage line is
+formatted at a fixed width, whatever the terminal, so both run every row
+at several values of ``COLUMNS``.
 
 The refusals that need raw bytes or a file of their own, non-UTF-8 input
 and a disconnected file, are tests in ``test_cli.py``.
@@ -119,18 +120,25 @@ ROWS = [
         for command in ("analyze", "spectrum")
         for extra in (["--tol", "0.5"], ["--js"], ["--tol-eig", "1e-8"], ["--tol-eq", "1e-6"])
     ),
-    # argparse binds 1e-6 to the optional EDGELIST, so the refusal lists
-    # the words left over
-    _unknown("analyze", ["--tol-eq", "1e-6", "-"], "--tol-eq -"),
+    # argparse binds 1e-6 to the optional EDGELIST and leaves '-' over;
+    # the refusal names the option alone
+    _unknown("analyze", ["--tol-eq", "1e-6", "-"], "--tol-eq"),
 ]
 
 
-@pytest.mark.parametrize("argv, stdin, code, out, err", [
-    pytest.param(*row, id=" ".join(row[0]) + (f" < {row[1]}" if row[1] else ""))
+def _id(argv, stdin, columns):
+    # the 80-column run of a row keeps the row's own id
+    width = "" if columns == "80" else f" COLUMNS={columns}"
+    return " ".join(argv) + (f" < {stdin}" if stdin else "") + width
+
+
+@pytest.mark.parametrize("argv, stdin, code, out, err, columns", [
+    pytest.param(*row, columns, id=_id(row[0], row[1], columns))
     for row in ROWS
+    for columns in ("40", "80", "200")
 ])
-def test_refusal(monkeypatch, capsys, argv, stdin, code, out, err):
-    monkeypatch.setenv("COLUMNS", "80")
+def test_refusal(monkeypatch, capsys, argv, stdin, code, out, err, columns):
+    monkeypatch.setenv("COLUMNS", columns)
     monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
     try:
         got = cli.main(argv)

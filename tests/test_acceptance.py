@@ -14,7 +14,6 @@ from numpy.polynomial import polynomial as P
 
 from lapexcess import (
     IntersectionArray,
-    SpectralMeasure,
     Verdict,
     analyze,
     path_graph,
@@ -64,7 +63,7 @@ def test_criterion_03_p4_polynomials():
     # the monomial reference's coefficients on the pipeline's measure, and
     # the pipeline's recurrence at points across the spectrum
     a = analyze(path_graph(4))
-    polys = reference_predistance(SpectralMeasure.from_spectrum(a.spectrum))[0]
+    polys = reference_predistance(a.spectrum)[0]
     xs = np.linspace(0.0, 4.0, 9)
     values = predistance_values(a.system, xs)
     expected = [

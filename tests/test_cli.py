@@ -415,10 +415,9 @@ def test_gen_pipe_matches_direct(spec):
     assert piped.stdout == direct.stdout
 
 
-def test_calls_in_one_process_match_fresh_processes(monkeypatch, capsys):
+def test_calls_in_one_process_match_fresh_processes(capsys):
     # main() builds its parser once per process; no call may see the flags,
     # defaults or failure of the one before it
-    monkeypatch.setenv("COLUMNS", "80")  # same usage-line wrapping in both
     calls = [
         (["analyze", "--gen", "petersen", "--json"], 0),
         (["analyze", "--gen", "path:4", "--bogus"], 64),

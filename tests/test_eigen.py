@@ -17,9 +17,8 @@ from helpers import (
 )
 
 from lapexcess import (
-    DistinctSpectrum,
     InternalCheckError,
-    cluster_spectrum,
+    SpectralMeasure,
     cycle_graph,
     eigenvalues_sym,
     generate,
@@ -243,9 +242,12 @@ def test_refuses_rounding_level_asymmetry():
 @pytest.mark.parametrize(
     "function, values, message",
     [
-        (cluster_spectrum, [math.nan], "raw spectrum entry 0 is nan, not finite"),
-        (cluster_spectrum, [0.0, math.nan, 2.0], "raw spectrum entry 1 is nan, not finite"),
-        (cluster_spectrum, [0.0, 1.0, math.inf], "raw spectrum entry 2 is inf, not finite"),
+        pytest.param(SpectralMeasure.from_spectrum, [math.nan], "raw spectrum entry 0 is nan, not finite",
+                     id="from_spectrum-values0"),
+        pytest.param(SpectralMeasure.from_spectrum, [0.0, math.nan, 2.0], "raw spectrum entry 1 is nan, not finite",
+                     id="from_spectrum-values1"),
+        pytest.param(SpectralMeasure.from_spectrum, [0.0, 1.0, math.inf], "raw spectrum entry 2 is inf, not finite",
+                     id="from_spectrum-values2"),
         (eigenvalues_sym, [[math.nan]], "matrix entry (0, 0) is nan, not finite"),
         (
             eigenvalues_sym,
@@ -271,7 +273,7 @@ def test_refuses_non_finite_input(function, values, message):
 def test_cluster_exact_multiplicities():
     # C4 Laplacian spectrum is 0, 2, 2, 4
     raw = eigenvalues_sym(laplacian_matrix(cycle_graph(4)))[0]
-    s = cluster_spectrum(raw)
+    s = SpectralMeasure.from_spectrum(raw)
     assert np.allclose(s.thetas, [0.0, 2.0, 4.0], atol=1e-12)
     assert list(s.mults) == [1, 2, 1]
     assert s.thetas[0] == 0.0
@@ -281,7 +283,7 @@ def test_cluster_exact_multiplicities():
 
 def test_cluster_merges_jittered_values():
     raw = np.array([1e-13, 1.0 - 3e-9, 1.0 + 3e-9, 2.5])
-    s = cluster_spectrum(raw)
+    s = SpectralMeasure.from_spectrum(raw)
     assert list(s.mults) == [1, 2, 1]
     assert abs(s.thetas[1] - 1.0) <= 1e-8
 
@@ -290,7 +292,7 @@ def test_cluster_is_gap_chaining():
     # each consecutive gap is below tolerance, so the chain merges even
     # though the endpoints are farther apart than the tolerance
     raw = np.array([0.0, 1.0, 1.0 + 0.9e-8, 1.0 + 1.8e-8])
-    s = cluster_spectrum(raw)
+    s = SpectralMeasure.from_spectrum(raw)
     assert list(s.mults) == [1, 3]
 
 
@@ -298,7 +300,7 @@ def test_cluster_rejections():
     with pytest.raises(
         InternalCheckError, match="smallest eigenvalue 0.5 is not zero within tolerance 2e-08"
     ):
-        cluster_spectrum(np.array([0.5, 1.0, 2.0]))  # no zero eigenvalue
+        SpectralMeasure.from_spectrum(np.array([0.5, 1.0, 2.0]))  # no zero eigenvalue
     # zero repeated: the message names the multiplicity, the absolute
     # threshold and the largest gap merged
     message = (
@@ -307,19 +309,19 @@ def test_cluster_rejections():
         "connected graph has a simple zero eigenvalue"
     )
     with pytest.raises(InternalCheckError, match=f"^{re.escape(message)}$"):
-        cluster_spectrum(np.array([0.0, 5e-9, 1.2e-8, 3.0]))
+        SpectralMeasure.from_spectrum(np.array([0.0, 5e-9, 1.2e-8, 3.0]))
     with pytest.raises(InternalCheckError, match="smallest eigenvalue -0.5 is not zero"):
-        cluster_spectrum(np.array([-0.5, 1.0, 2.0]))
+        SpectralMeasure.from_spectrum(np.array([-0.5, 1.0, 2.0]))
     with pytest.raises(ValueError):
-        cluster_spectrum(np.array([1.0, 0.0]))  # unsorted
+        SpectralMeasure.from_spectrum(np.array([1.0, 0.0]))  # unsorted
     with pytest.raises(ValueError):
-        cluster_spectrum(np.array([]))
+        SpectralMeasure.from_spectrum(np.array([]))
 
 
 def test_min_gap():
-    s = cluster_spectrum(np.array([0.0, 0.4, 2.0]))
+    s = SpectralMeasure.from_spectrum(np.array([0.0, 0.4, 2.0]))
     assert math.isclose(s.min_gap, 0.4)
-    assert DistinctSpectrum(np.array([0.0]), np.array([1])).min_gap == math.inf
+    assert SpectralMeasure(np.array([0.0]), np.array([1])).min_gap == math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +329,7 @@ def test_min_gap():
 # ---------------------------------------------------------------------------
 
 def test_phi_products_direct():
-    s = DistinctSpectrum(np.array([0.0, 1.0, 3.0]), np.array([1, 2, 1]))
+    s = SpectralMeasure(np.array([0.0, 1.0, 3.0]), np.array([1, 2, 1]))
     # phi_0 = (0-1)(0-3) = 3, phi_1 = (1-0)(1-3) = -2, phi_2 = (3-0)(3-1) = 6
     assert np.allclose(phi_products(s), [3.0, -2.0, 6.0])
 
@@ -341,9 +343,9 @@ def test_phi_sign_alternation():
     spectra = []
     for _ in range(8):
         g = random_connected_graph(rng, int(rng.integers(2, 12)), 2)
-        spectra.append(cluster_spectrum(eigenvalues_sym(laplacian_matrix(g))[0]))
+        spectra.append(SpectralMeasure.from_spectrum(eigenvalues_sym(laplacian_matrix(g))[0]))
     n = 1500
-    spectra.append(DistinctSpectrum(2.0 - 2.0 * np.cos(np.pi * np.arange(n) / n), np.ones(n, dtype=int)))
+    spectra.append(SpectralMeasure(2.0 - 2.0 * np.cos(np.pi * np.arange(n) / n), np.ones(n, dtype=int)))
     for s in spectra:
         phis = phi_products(s)
         thetas = s.thetas.tolist()
@@ -359,7 +361,7 @@ def test_phi_products_match_reference_bitwise(atlas_corpus):
     graphs = [g for _, g in atlas_corpus]
     graphs += [generate("path", (128,)), generate("cycle", (128,)), generate("hypercube", (7,))]
     for g in graphs:
-        s = cluster_spectrum(eigenvalues_sym(laplacian_matrix(g))[0])
+        s = SpectralMeasure.from_spectrum(eigenvalues_sym(laplacian_matrix(g))[0])
         assert phi_products(s).tobytes() == reference_phi_products(s.thetas).tobytes(), g
 
 
@@ -373,7 +375,7 @@ def test_phi_products_match_reference_bitwise_across_blocks():
     spectra = [2.0 - 2.0 * np.cos(np.pi * np.arange(n) / n)]
     spectra.append(np.concatenate([[0.0], 1e-200 * np.arange(1, 6), [1.0, 2.0, 3.5]]))
     for thetas in spectra:
-        s = DistinctSpectrum(thetas, np.ones(len(thetas), dtype=int))
+        s = SpectralMeasure(thetas, np.ones(len(thetas), dtype=int))
         assert phi_products(s).tobytes() == reference_phi_products(thetas).tobytes()
 
 
@@ -381,14 +383,14 @@ def test_phi_past_the_float_range_raises():
     # every phi_i of 0, 1, ..., 400 is i! (400 - i)! in magnitude, at least
     # (200!)^2, about 1e749: it must fail closed, not come back as inf
     # (spectrum's text report would print it), and name the first one
-    s = DistinctSpectrum(np.arange(401.0), np.ones(401, dtype=int))
+    s = SpectralMeasure(np.arange(401.0), np.ones(401, dtype=int))
     with pytest.raises(
         InternalCheckError,
         match=r"phi_0 is past the float range: its binary exponent 2887 exceeds 1024$",
     ):
         phi_products(s)
     # of 0, 1, 2, 1e200 only phi_3, about 2e600, is past the range
-    s = DistinctSpectrum(np.array([0.0, 1.0, 2.0, 1e200]), np.ones(4, dtype=int))
+    s = SpectralMeasure(np.array([0.0, 1.0, 2.0, 1e200]), np.ones(4, dtype=int))
     with pytest.raises(
         InternalCheckError,
         match=r"phi_3 is past the float range: its binary exponent 1994 exceeds 1024$",
@@ -397,5 +399,5 @@ def test_phi_past_the_float_range_raises():
 
 
 def test_phi_single_eigenvalue():
-    s = DistinctSpectrum(np.array([0.0]), np.array([1]))
+    s = SpectralMeasure(np.array([0.0]), np.array([1]))
     assert np.array_equal(phi_products(s), [1.0])

@@ -8,6 +8,7 @@ serve as the reference for it.
 """
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -23,11 +24,9 @@ from helpers import (
 from numpy.polynomial import polynomial as P
 
 from lapexcess import (
-    DistinctSpectrum,
     SpectralMeasure,
     Verdict,
     analyze,
-    cluster_spectrum,
     cycle_graph,
     eigenvalues_sym,
     eval_matrix,
@@ -43,9 +42,7 @@ from lapexcess import (
 
 
 def _measure_for(g):
-    raw = eigenvalues_sym(laplacian_matrix(g))[0]
-    spectrum = cluster_spectrum(raw)
-    return spectrum, SpectralMeasure.from_spectrum(spectrum)
+    return SpectralMeasure.from_spectrum(eigenvalues_sym(laplacian_matrix(g))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +53,7 @@ def test_eval_routes_agree():
     # at a diagonal matrix, eval_matrix is the polynomial at each entry,
     # exactly: the eigenvectors are signed unit vectors
     rng = np.random.default_rng(17)
-    _, mu = _measure_for(path_graph(5))
+    mu = _measure_for(path_graph(5))
     sys = predistance_system(mu)
     c = rng.standard_normal(4)
     xs = rng.standard_normal(7)
@@ -68,7 +65,7 @@ def test_eval_routes_agree():
 def test_eval_matrix_symmetric():
     g = path_graph(4)
     lap = laplacian_matrix(g)
-    _, mu = _measure_for(g)
+    mu = _measure_for(g)
     polys = reference_predistance(mu)[0]
     c = np.array([2.0, -1.0, 0.5])
     lam, v = np.linalg.eigh(lap)
@@ -88,16 +85,23 @@ def test_eval_empty_polynomial_is_zero():
 # ---------------------------------------------------------------------------
 
 def test_measure_validation():
-    with pytest.raises(ValueError):
-        SpectralMeasure(np.array([0.0, 1.0]), np.array([0.5]))
-    with pytest.raises(ValueError):
-        SpectralMeasure(np.array([0.5, 1.0]), np.array([0.5, 0.5]))
-    with pytest.raises(ValueError):
-        SpectralMeasure(np.array([0.0, 2.0, 1.0]), np.array([0.2, 0.4, 0.4]))
-    with pytest.raises(ValueError):
-        SpectralMeasure(np.array([0.0, 1.0]), np.array([1.5, -0.5]))
-    with pytest.raises(ValueError):
-        SpectralMeasure(np.array([0.0, 1.0]), np.array([0.3, 0.3]))
+    # each (thetas, mults) breaks one rule; the weights sum to 1 by
+    # construction, so there is no sum to refuse
+    cases = [
+        ([0.0, 1.0], [1], "thetas and mults must have equal length"),
+        ([0.5, 1.0], [1, 1], "first node must be 0, got 0.5"),
+        ([], [], "first node must be 0, got None"),
+        ([0.0, 2.0, 1.0], [1, 2, 2], "nodes must be strictly ascending"),
+        ([0.0, 1.0, 1.0], [1, 2, 2], "nodes must be strictly ascending"),
+        ([0.0, 1.0], [1, 0], "multiplicities must be at least 1"),
+        ([0.0, 1.0], [2, -1], "multiplicities must be at least 1"),
+    ]
+    for thetas, mults, message in cases:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SpectralMeasure(np.array(thetas), np.array(mults))
+    mu = SpectralMeasure(np.array([0.0, 2.0, 4.0]), np.array([1, 2, 1]))
+    assert (mu.d, mu.n) == (2, 4)
+    assert np.array_equal(mu.weights, [0.25, 0.5, 0.25])
 
 
 # ---------------------------------------------------------------------------
@@ -123,15 +127,15 @@ def _random_cases():
 def random_systems():
     out = []
     for g in _random_cases():
-        spectrum, mu = _measure_for(g)
-        out.append((g, spectrum, mu, predistance_system(mu), reference_predistance(mu)[0]))
+        mu = _measure_for(g)
+        out.append((g, mu, predistance_system(mu), reference_predistance(mu)[0]))
     return out
 
 
 def test_degrees_are_exact(random_systems):
     # r_i has leading coefficient 1 / (gamma_1 ... gamma_i), which the
     # reference's degree-i coefficient matches
-    for _, _, _, sys, polys in random_systems:
+    for _, _, sys, polys in random_systems:
         assert len(polys) == sys.d + 1
         assert np.all(sys.gamma != 0.0)
         for i, p in enumerate(polys):
@@ -142,7 +146,7 @@ def test_degrees_are_exact(random_systems):
 
 def test_orthogonality_and_normalization(random_systems):
     # on the node values the recurrence gives, theta_0 = 0 among them
-    for g, _, mu, sys, _ in random_systems:
+    for g, mu, sys, _ in random_systems:
         values = predistance_values(sys, mu.thetas)
         gram = (values * mu.weights) @ values.T
         for i in range(sys.d + 1):
@@ -161,9 +165,9 @@ def test_recurrence_coefficient_identity(random_systems):
     i = d the right side lacks the degree-(d+1) term, so the identity is
     checked on the spectrum nodes, where the missing node polynomial
     vanishes."""
-    for g, spectrum, mu, sys, polys in random_systems:
+    for g, mu, sys, polys in random_systems:
         d = sys.d
-        scale = max(1.0, float(spectrum.thetas[-1]))
+        scale = max(1.0, float(mu.thetas[-1]))
         for i in range(d + 1):
             lhs = P.polymul([0.0, 1.0], polys[i])
             rhs = sys.alpha[i] * np.asarray(polys[i])
@@ -179,7 +183,7 @@ def test_recurrence_coefficient_identity(random_systems):
 
 
 def test_coefficient_sum_and_signs(random_systems):
-    for _, _, _, sys, _ in random_systems:
+    for _, _, sys, _ in random_systems:
         d = sys.d
         if d == 0:
             assert sys.alpha[0] == pytest.approx(0.0, abs=1e-12)
@@ -192,7 +196,7 @@ def test_coefficient_sum_and_signs(random_systems):
 
 
 def test_hoffman_identity(random_systems):
-    for g, spectrum, mu, sys, polys in random_systems:
+    for g, mu, sys, polys in random_systems:
         h = reference_hoffman(mu, g.n)
         assert np.isclose(P.polyval(0.0, h), g.n, rtol=1e-9)
         assert np.isclose(sys.values_at_zero.sum(), g.n, rtol=1e-9)
@@ -226,9 +230,9 @@ def test_hoffman_identity(random_systems):
 
 
 def test_closed_form_matches_evaluation(random_systems):
-    for g, spectrum, mu, sys, _ in random_systems:
-        phis = phi_products(spectrum)
-        closed = spectral_excess_closed_form(spectrum, phis)
+    for g, mu, sys, _ in random_systems:
+        phis = phi_products(mu)
+        closed = spectral_excess_closed_form(mu, phis)
         direct = predistance_values(sys, [0.0])[-1, 0]
         assert np.isclose(closed, sys.values_at_zero[-1], rtol=1e-8, atol=1e-12)
         assert np.isclose(closed, direct, rtol=1e-8, atol=1e-12)
@@ -241,15 +245,14 @@ def test_path_900_spectral_excess_from_normalization():
     # and the values the recurrence gives at the nodes stay finite.
     n = 900
     thetas = 2.0 - 2.0 * np.cos(np.pi * np.arange(n) / n)
-    mu = SpectralMeasure(thetas, np.full(n, 1.0 / n))
+    mu = SpectralMeasure(thetas, np.ones(n, dtype=int))
     sys = predistance_system(mu)
     r_d0 = float(sys.values_at_zero[-1])
     with np.errstate(over="ignore", invalid="ignore"):
         assert not np.all(np.isfinite(reference_predistance(mu)[0][-1]))
     assert math.isfinite(r_d0)
     assert np.all(np.isfinite(predistance_values(sys, thetas)))
-    spectrum = DistinctSpectrum(thetas, np.ones(n, dtype=int))
-    closed = spectral_excess_closed_form(spectrum, phi_products(spectrum))
+    closed = spectral_excess_closed_form(mu, phi_products(mu))
     assert abs(r_d0 - closed) <= 1e-11 * closed
 
 
@@ -260,7 +263,7 @@ def test_spectral_excess_is_the_stored_constant_coefficient(g):
     # reference's constant coefficient, and the exact one, to rounding
     a = analyze(g)
     d = a.spectrum.d
-    r_d = reference_predistance(SpectralMeasure.from_spectrum(a.spectrum))[0][d]
+    r_d = reference_predistance(a.spectrum)[0][d]
     assert a.spectral_excess == a.system.values_at_zero[d]
     assert type(a.spectral_excess) is float
     assert r_d[0] == P.polyval(0.0, r_d)
@@ -270,7 +273,7 @@ def test_spectral_excess_is_the_stored_constant_coefficient(g):
 
 def test_single_vertex_system():
     g = path_graph(1)
-    spectrum, mu = _measure_for(g)
+    mu = _measure_for(g)
     sys = predistance_system(mu)
     assert sys.d == 0
     assert np.array_equal(sys.values_at_zero, [1.0])
@@ -285,7 +288,7 @@ def test_two_vertex_system():
     # q_1(0) = -1, hence r_1 = 1 - x, which indeed sends L to the adjacency
     # matrix.
     g = path_graph(2)
-    spectrum, mu = _measure_for(g)
+    mu = _measure_for(g)
     sys = predistance_system(mu)
     assert np.allclose(predistance_values(sys, [0.0, 1.0, 2.0]), [[1.0, 1.0, 1.0], [1.0, 0.0, -1.0]], atol=1e-12)
     assert np.allclose(sys.values_at_zero, [1.0, 1.0], atol=1e-12)
@@ -308,9 +311,9 @@ def test_small_systems_match_exact_reference(atlas_corpus):
     # error over the atlas reads 1.3e-13 (Stieltjes in floats: 1.9e-9).
     small = [cycle_graph(k) for k in range(3, 9)] + [path_graph(k) for k in range(1, 8)]
     for g in [g for _, g in atlas_corpus] + small:
-        spectrum, mu = _measure_for(g)
+        mu = _measure_for(g)
         sys = predistance_system(mu)
-        exact = exact_predistance(spectrum)
+        exact = exact_predistance(mu)
         for got, want in zip((sys.values_at_zero, sys.alpha, sys.beta, sys.gamma), exact, strict=True):
             assert max_relative_error(got, want) <= 1e-12, g
 
@@ -320,7 +323,7 @@ def test_small_systems_match_exact_reference(atlas_corpus):
 def test_large_systems_match_reference(g):
     # Lanczos and the reference's Stieltjes procedure in floats agree to
     # rounding on these spectra.
-    _, mu = _measure_for(g)
+    mu = _measure_for(g)
     sys = predistance_system(mu)
     polys, alpha, beta, gamma = reference_predistance(mu)
     assert np.allclose(sys.values_at_zero, [p[0] for p in polys], rtol=1e-12, atol=0.0)
@@ -349,7 +352,7 @@ def _assert_agrees_with_horner(c, basis, p, m):
 def test_eval_matrix_matches_horner_reference(atlas_corpus):
     for _, g in atlas_corpus:
         lap = laplacian_matrix(g)
-        _, mu = _measure_for(g)
+        mu = _measure_for(g)
         sys = predistance_system(mu)
         lam, v = np.linalg.eigh(lap)
         basis = (predistance_values(sys, lam), v)
@@ -374,7 +377,7 @@ def test_predistance_system_holds_one_square_basis():
     # stays within half a basis of it: no second basis and no per-degree
     # copy.
     for n in (128, 512):
-        _, mu = _measure_for(path_graph(n))
+        mu = _measure_for(path_graph(n))
         tracemalloc.start()
         try:
             predistance_system(mu)

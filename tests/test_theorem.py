@@ -31,7 +31,6 @@ from lapexcess import (
     IntersectionArray,
     InternalCheckError,
     OracleRefusal,
-    SpectralMeasure,
     Verdict,
     analyze,
     average_excess,
@@ -369,7 +368,7 @@ def _adjacency_polys(a, k: int) -> list:
     """p_i(x) = r_i(k - x): on a k-regular graph L = kI - A, so p_i(A) = r_i(L).
     The r_i are the monomial reference's, on the analysis' spectral measure."""
     shift = np.polynomial.Polynomial([float(k), -1.0])
-    polys = reference_predistance(SpectralMeasure.from_spectrum(a.spectrum))[0]
+    polys = reference_predistance(a.spectrum)[0]
     return [np.polynomial.Polynomial(p)(shift).coef for p in polys]
 
 

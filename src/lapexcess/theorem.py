@@ -46,7 +46,7 @@ from .orthopoly import (
 # the verdict band on the relative gap: at most EQUALITY_TOL is equality,
 # at least 10 * EQUALITY_TOL is not; distance-regular atlas graphs read at
 # most 8.9e-16 and cycle:1000 2.5e-12, and the smallest gap known on a
-# graph that is not distance-regular is 1.2e-3
+# graph that is not distance-regular is 1.0e-3, on K_{499x2,1} (n = 999)
 EQUALITY_TOL = 1e-6
 # relative bound of the route cross-check and of the k̄_d <= r_d(0) guard;
 # the largest route gap measured is 2.0e-12, on path:900

@@ -7,9 +7,10 @@ most 7 vertices plus the named families from the shared session fixture.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
-from helpers import reference_predistance
+from helpers import exact_excess
 from numpy.polynomial import polynomial as P
 
 from lapexcess import (
@@ -60,23 +61,21 @@ def test_criterion_02_p4_recurrence_table():
 
 
 def test_criterion_03_p4_polynomials():
-    # the monomial reference's coefficients on the pipeline's measure, and
+    # the exact reference's coefficients, from the integer Laplacian, and
     # the pipeline's recurrence at points across the spectrum
-    a = analyze(path_graph(4))
-    polys = reference_predistance(a.spectrum)[0]
+    a, polys = analyze(path_graph(4)), exact_excess(path_graph(4)).polys
     xs = np.linspace(0.0, 4.0, 9)
     values = predistance_values(a.system, xs)
     expected = [
-        np.array([1.0]),
-        np.array([9.0 / 7.0, -6.0 / 7.0]),
-        np.array([32.0 / 35.0, -96.0 / 35.0, 4.0 / 5.0]),
-        np.array([4.0 / 5.0, -32.0 / 5.0, 26.0 / 5.0, -1.0]),
+        [Fraction(1)],
+        [Fraction(9, 7), Fraction(-6, 7)],
+        [Fraction(32, 35), Fraction(-96, 35), Fraction(4, 5)],
+        [Fraction(4, 5), Fraction(-32, 5), Fraction(26, 5), Fraction(-1)],
     ]
-    err = max(float(np.max(np.abs(p - e))) for p, e in zip(polys, expected))
-    err = max(err, float(np.max(np.abs(values - [P.polyval(xs, e) for e in expected]))))
-    _report(err <= TABLE_TOL,
-            "criterion 3: P4 predistance polynomials match the known coefficients within 1e-8",
-            f"max error {err:.2e}")
+    err = float(np.max(np.abs(values - [P.polyval(xs, np.array(e, dtype=float)) for e in expected])))
+    _report(polys == expected and err <= TABLE_TOL,
+            "criterion 3: P4 predistance polynomials are exactly the known ones; recurrence within 1e-8",
+            f"exact {polys == expected}, max error {err:.2e}")
 
 
 def test_criterion_04_p4_theorem_quantities():

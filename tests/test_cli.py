@@ -11,10 +11,12 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from helpers import (
+    exact_excess,
     overflow_polynomial,
     perturb_eigenvectors,
     poison_average_excess,
@@ -25,7 +27,7 @@ from helpers import (
     shift_eigenvalues,
 )
 
-from lapexcess import InternalCheckError, eigen, theorem
+from lapexcess import InternalCheckError, cycle_graph, distance_data, eigen, theorem
 from lapexcess.cli import main
 
 
@@ -75,6 +77,14 @@ def test_tight_equality_tolerance_decides_cycle_128(monkeypatch, capsys):
     monkeypatch.setattr(theorem, "EQUALITY_TOL", 2.0**-52)
     assert main(["analyze", "--gen", "cycle:128"]) in (0, 2)
     capsys.readouterr()
+
+
+def test_cycle_128_exact_gap_is_zero():
+    # the truth the expected failure above needs: k_d = r_d(0) = 1 exactly
+    g = cycle_graph(128)
+    exact = exact_excess(g)
+    k_d = Fraction(int(np.count_nonzero(distance_data(g).dist == 64)), g.n)
+    assert exact.d == 64 and k_d == exact.at_zero[-1] == 1
 
 
 def test_sloppy_tolerance_exits_70(monkeypatch, capsys):

@@ -7,7 +7,8 @@ import networkx as nx
 import numpy as np
 import pytest
 from helpers import (
-    adjacency,
+    exact_excess,
+    exact_sum_is,
     gnp_graph,
     overflow_polynomial,
     paw_graph,
@@ -18,9 +19,7 @@ from helpers import (
     random_connected_graph,
     reverse_measure,
     reference_distances,
-    reference_eval_matrix,
     reference_oracle,
-    reference_predistance,
     shift_eigenvalues,
     to_networkx,
 )
@@ -31,6 +30,7 @@ from lapexcess import (
     IntersectionArray,
     InternalCheckError,
     OracleRefusal,
+    SpectralMeasure,
     Verdict,
     analyze,
     average_excess,
@@ -364,29 +364,18 @@ def test_corpus_structural_invariants(analyzed_corpus):
 # Regular graphs: distance polynomials in A, and the d = 2 case
 # ---------------------------------------------------------------------------
 
-def _adjacency_polys(a, k: int) -> list:
-    """p_i(x) = r_i(k - x): on a k-regular graph L = kI - A, so p_i(A) = r_i(L).
-    The r_i are the monomial reference's, on the analysis' spectral measure."""
-    shift = np.polynomial.Polynomial([float(k), -1.0])
-    polys = reference_predistance(a.spectrum)[0]
-    return [np.polynomial.Polynomial(p)(shift).coef for p in polys]
-
-
 def test_adjacency_polys_petersen():
+    # r_i(L) = A_i exactly, so p_i(x) = r_i(3 - x) has p_i(A) = A_i
     g = petersen_graph()
-    a = analyze(g)
-    polys = _adjacency_polys(a, 3)
-    adj = adjacency(g)
-    dd = a.distances
-    assert np.allclose(reference_eval_matrix(polys[0], adj), np.eye(g.n), atol=1e-8)
-    for i in (1, 2):
-        assert np.max(np.abs(reference_eval_matrix(polys[i], adj) - (dd.dist == i))) <= 1e-8
+    a, exact = analyze(g), exact_excess(g)
+    assert exact.d == 2
+    for i, r_i in enumerate(exact.matrices):
+        assert exact_sum_is([r_i], a.distances.dist == i), i
 
 
 def test_adjacency_polys_complete4():
-    polys = _adjacency_polys(analyze(complete_graph(4)), 3)
-    assert np.allclose(polys[0], [1.0])
-    assert np.allclose(polys[1], [0.0, 1.0], atol=1e-12)
+    # r_1(x) = 3 - x exactly, so r_1(L) = 3I - L = A
+    assert exact_excess(complete_graph(4)).polys == [[1], [3, -1]]
 
 
 def _degree_stats(g):
@@ -712,6 +701,19 @@ def test_random_regular_graph_matches_networkx(k, h):
     assert (a.verdict is Verdict.DISTANCE_REGULAR) == drg
     if drg:
         assert (list(a.oracle.b), list(a.oracle.c)) == array
+
+
+@pytest.mark.parametrize("seed, log10_excess", [(0, -41.0645973), (1, -42.2576926), (2, -42.7343157)])
+def test_generic_random_graph_premise_holds_exactly(seed, log10_excess):
+    """The premise of the expected failure below at n = 30, with no
+    eigenvalue: d = 29 and diameter 2, and the clustering's d is 29 too.
+    A 120-digit mpmath closed form gives the same log10 r_d(0)."""
+    g = gnp_graph(30, 0.5, seed)
+    exact = exact_excess(g)
+    assert (exact.d, distance_data(g).diameter) == (29, 2)
+    assert SpectralMeasure.from_spectrum(eigenvalues_sym(laplacian_matrix(g))[0]).d == 29
+    r_d = exact.at_zero[-1]
+    assert abs(math.log10(r_d.numerator) - math.log10(r_d.denominator) - log10_excess) <= 1e-6
 
 
 @pytest.mark.xfail(

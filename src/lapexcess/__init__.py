@@ -52,7 +52,6 @@ from .theorem import (
     OracleRefusal,
     Verdict,
     analyze,
-    average_excess,
     drg_oracle,
 )
 from .report import build_document, dumps, render_text
@@ -74,7 +73,6 @@ __all__ = [
     "SpectralMeasure",
     "Verdict",
     "analyze",
-    "average_excess",
     "build_document",
     "complete_bipartite_graph",
     "complete_graph",

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 
 from . import eigen, theorem
-from .theorem import Analysis, IntersectionArray, per_vertex_excess
+from .theorem import Analysis, IntersectionArray
 
 SCHEMA_VERSION = 4
 
@@ -114,7 +114,7 @@ def build_document(analysis: Analysis) -> dict:
             "average": float(analysis.average_excess),
             "spectral": float(analysis.spectral_excess),
             "spectral_closed_form": float(analysis.spectral_excess_closed),
-            "per_vertex": per_vertex_excess(dd, d).tolist(),
+            "per_vertex": analysis.per_vertex_excess.tolist(),
             "equality_gap": float(analysis.spectral_excess - analysis.average_excess),
             "relative_gap": float(analysis.relative_gap),
             "identity_residuals": (

@@ -212,23 +212,6 @@ def per_vertex_excess(dd: DistanceData, d: int) -> np.ndarray:
     return np.count_nonzero(dd.dist == d, axis=1)
 
 
-def average_excess(dd: DistanceData, d: int) -> float:
-    """Mean over all vertices of the number of vertices at distance d.
-
-    d is the count of distinct Laplacian eigenvalues minus one, which is
-    always at least the diameter; when it is strictly larger no vertex has
-    anything at distance d and the average is 0.  A d below the diameter
-    can only come from distinct eigenvalues merged by the clustering, so
-    that raises InternalCheckError instead of returning a wrong number.
-    """
-    if d < dd.diameter:
-        raise InternalCheckError(
-            f"diameter {dd.diameter} exceeds d = {d}: distinct eigenvalues "
-            "were merged during clustering"
-        )
-    return float(per_vertex_excess(dd, d).mean())
-
-
 def _residual(name: str, value: np.ndarray, target) -> float:
     """max |value - target|, raising InternalCheckError when it is not
     finite.  value is overwritten with the difference, so the comparison
@@ -257,6 +240,7 @@ class Analysis:
     distances: DistanceData
     spectral_excess: float
     average_excess: float
+    per_vertex_excess: np.ndarray
     relative_gap: float
     verdict: Verdict
     identity_residuals: np.ndarray | None
@@ -312,8 +296,17 @@ def analyze(g: Graph) -> Analysis:
             f"{r_d0!r}, closed form gives {closed!r}"
         )
 
+    # d, the count of distinct eigenvalues minus one, is at least the
+    # diameter, so a smaller d can only come from distinct eigenvalues
+    # merged by the clustering; past the diameter every k_d(u) is 0
     dd = distance_data(g)
-    kbar = average_excess(dd, d)
+    if d < dd.diameter:
+        raise InternalCheckError(
+            f"diameter {dd.diameter} exceeds d = {d}: distinct eigenvalues "
+            "were merged during clustering"
+        )
+    counts = per_vertex_excess(dd, d)
+    kbar = float(counts.mean())
     rel = (r_d0 - kbar) / r_d0
     if not math.isfinite(rel):
         raise InternalCheckError(
@@ -379,6 +372,7 @@ def analyze(g: Graph) -> Analysis:
         distances=dd,
         spectral_excess=r_d0,
         average_excess=kbar,
+        per_vertex_excess=counts,
         relative_gap=rel,
         verdict=verdict,
         identity_residuals=residuals,

@@ -84,10 +84,16 @@ def poison_distance(monkeypatch, u: int, v: int, value: int) -> None:
 
 
 def poison_average_excess(monkeypatch, change) -> None:
-    """Make theorem.average_excess return change(k), where k is the value
-    it computes."""
-    real = theorem.average_excess
-    monkeypatch.setattr(theorem, "average_excess", lambda dd, d: change(real(dd, d)))
+    """Make theorem.per_vertex_excess return change(k) at every vertex,
+    where k is the count it computes there; on a distance-regular graph,
+    where every count is k̄_d, the average excess then reads change(k̄_d)."""
+    real = theorem.per_vertex_excess
+
+    def poisoned(dd, d):
+        counts = real(dd, d)
+        return np.broadcast_to(change(counts), counts.shape)
+
+    monkeypatch.setattr(theorem, "per_vertex_excess", poisoned)
 
 
 def poison_spectral_excess(monkeypatch) -> None:

@@ -19,7 +19,6 @@ from lapexcess import (
     Graph,
     GraphInputError,
     analyze,
-    average_excess,
     build_document,
     complete_bipartite_graph,
     complete_graph,
@@ -420,7 +419,7 @@ def test_distance_data_matches_networkx():
         # the counts of each vertex sum to n
         assert np.all(counts.sum(axis=0) == g.n)
         for i in range(dd.diameter, rows):
-            assert average_excess(dd, i) == expected[i].mean()
+            assert per_vertex_excess(dd, i).mean() == expected[i].mean()
         # the report carries the row at d, which is at least the diameter
         excess = build_document(a)["excess"]
         assert excess["per_vertex"] == expected[d].tolist()

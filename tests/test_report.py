@@ -1,12 +1,14 @@
 """JSON encoding (lossless floats) and text rendering."""
 
+import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 from helpers import paw_graph
 
-from lapexcess import analyze, path_graph, petersen_graph
+from lapexcess import DistanceData, analyze, path_graph, petersen_graph
 from lapexcess.report import (
     build_document,
     dumps,
@@ -174,6 +176,15 @@ def test_document_per_vertex_past_the_diameter():
     excess = build_document(analyze(paw_graph()))["excess"]
     assert (excess["d"], excess["diameter"]) == (3, 2)
     assert excess["per_vertex"] == [0, 0, 0, 0]
+
+
+def test_document_does_not_recount_per_vertex():
+    # the report lists the counts analyze kept, not a recount of the
+    # distance matrix, which here reads all zeros
+    a = analyze(petersen_graph())
+    zeroed = DistanceData(np.zeros_like(a.distances.dist), a.distances.diameter)
+    excess = build_document(dataclasses.replace(a, distances=zeroed))["excess"]
+    assert excess["per_vertex"] == [6] * 10
 
 
 def test_document_refusal_branch():

@@ -33,7 +33,6 @@ from lapexcess import (
     SpectralMeasure,
     Verdict,
     analyze,
-    average_excess,
     build_document,
     complete_bipartite_graph,
     complete_graph,
@@ -70,19 +69,24 @@ def prism_graph() -> Graph:
 # ---------------------------------------------------------------------------
 
 def test_average_excess_values():
-    assert average_excess(distance_data(path_graph(4)), 3) == 0.5
-    assert average_excess(distance_data(petersen_graph()), 2) == 6.0
+    # k̄_d is the mean of the per-vertex counts k_d(u)
+    assert theorem.per_vertex_excess(distance_data(path_graph(4)), 3).mean() == 0.5
+    assert theorem.per_vertex_excess(distance_data(petersen_graph()), 2).mean() == 6.0
     for n in (2, 4, 7):
-        assert average_excess(distance_data(complete_graph(n)), 1) == n - 1
+        assert theorem.per_vertex_excess(distance_data(complete_graph(n)), 1).mean() == n - 1
 
 
 def test_average_excess_beyond_diameter_is_zero():
-    assert average_excess(distance_data(path_graph(3)), 5) == 0.0
+    assert theorem.per_vertex_excess(distance_data(path_graph(3)), 5).mean() == 0.0
 
 
-def test_average_excess_below_diameter_raises():
+def test_average_excess_below_diameter_raises(monkeypatch):
+    # path(3) has d = 2; a diameter of 3 beside it is what merged
+    # eigenvalues would look like
+    real = theorem.distance_data
+    monkeypatch.setattr(theorem, "distance_data", lambda g: DistanceData(real(g).dist, 3))
     with pytest.raises(InternalCheckError, match="diameter 3 exceeds d = 2: distinct eigenvalues were merged"):
-        average_excess(distance_data(path_graph(4)), 2)
+        analyze(path_graph(3))
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +274,7 @@ def test_petersen_report():
     assert rep.distances.diameter == 2
     assert np.isclose(rep.spectral_excess, 6.0, atol=1e-9)
     assert rep.average_excess == 6.0
-    assert np.all(theorem.per_vertex_excess(rep.distances, 2) == 6)
+    assert np.all(rep.per_vertex_excess == 6)
     assert build_document(rep)["excess"]["per_vertex"] == [6] * 10
     assert np.max(rep.identity_residuals) <= 1e-8
     assert rep.oracle.b == (3, 2)
@@ -339,17 +343,19 @@ def test_sloppy_tolerance_trips_oracle_audit(monkeypatch):
 
 
 def test_corpus_structural_invariants(analyzed_corpus):
-    """Corpus-wide structure: the diameter never exceeds d, the reported
-    average is the mean of the per-vertex counts, and a clean residual for
-    r_d cascades down to every lower index.  A not-distance-regular verdict
-    carries no identity residuals; there r_d(L) != A_d, which is the
-    theorem itself, so r_d(L) is still evaluated on every graph."""
+    """Corpus-wide structure: the diameter never exceeds d, the per-vertex
+    counts analyze keeps are the breadth-first ones, k̄_d is exactly their
+    mean and the report lists them, and a clean residual for r_d cascades
+    down to every lower index.  A not-distance-regular verdict carries no
+    identity residuals; there r_d(L) != A_d, which is the theorem itself,
+    so r_d(L) is still evaluated on every graph."""
     for name, g, a in analyzed_corpus:
         d = a.spectrum.d
         assert a.distances.diameter <= d, name
-        assert a.average_excess == pytest.approx(
-            float(np.mean(build_document(a)["excess"]["per_vertex"]))
-        ), name
+        counts = np.count_nonzero(reference_distances(g).dist == d, axis=1)
+        assert np.array_equal(a.per_vertex_excess, counts), name
+        assert float(a.per_vertex_excess.mean()) == a.average_excess, name
+        assert build_document(a)["excess"]["per_vertex"] == a.per_vertex_excess.tolist(), name
         if a.verdict is Verdict.NOT_DISTANCE_REGULAR:
             assert a.identity_residuals is None, name
             raw, vectors = eigenvalues_sym(laplacian_matrix(g))
